@@ -226,10 +226,11 @@ func BenchmarkBaselineAccess(b *testing.B) {
 
 // BenchmarkMachineStepBatched measures the epoch-batched measured phase
 // in isolation: one machine is built and warmed once, then every
-// iteration resumes a snapshot of the warm state and runs the measured
-// phase through the batched loop (pre-generated epochs, devirtualized
-// dispatch). Comparing against BenchmarkSimulatorThroughput separates
-// steady-state stepping speed from Build/Warmup overhead.
+// iteration resumes a snapshot of the warm state (untimed: Resume is a
+// deep clone) and runs the measured phase through the batched loop
+// (pre-generated epochs, devirtualized dispatch). Comparing against
+// BenchmarkSimulatorThroughput separates steady-state stepping speed
+// from Build/Warmup overhead.
 func BenchmarkMachineStepBatched(b *testing.B) {
 	p, err := workload.ByName("redis")
 	if err != nil {
@@ -255,7 +256,9 @@ func BenchmarkMachineStepBatched(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		mm := snap.Resume()
+		b.StartTimer()
 		if err := mm.Measure(ctx); err != nil {
 			b.Fatal(err)
 		}

@@ -321,6 +321,11 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return encodeState(st)
+}
+
+// encodeState frames a captured state in the versioned binary format.
+func encodeState(st *snapshotState) ([]byte, error) {
 	var payload bytes.Buffer
 	fw, err := flate.NewWriter(&payload, flate.BestSpeed)
 	if err != nil {

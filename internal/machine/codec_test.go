@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"seesaw/internal/faults"
@@ -210,6 +211,64 @@ func TestCodecErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := UnmarshalSnapshot(tc.data); !errors.Is(err, tc.want) {
 				t.Errorf("got err %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCodecRejectsCorruptPhysmem: a snapshot whose physical-memory
+// state is internally inconsistent decodes to ErrSnapshotCorrupt through
+// the allocator's own validation, not through a recovered panic.
+func TestCodecRejectsCorruptPhysmem(t *testing.T) {
+	snap, err := warmMaster(t, testConfig(t, KindBaseline)).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(st *snapshotState)
+	}{
+		{"free-list entry beyond memory", func(st *snapshotState) {
+			st.Buddy.FreeLists[0] = append(st.Buddy.FreeLists[0], st.Buddy.TotalFrames)
+		}},
+		{"free head beyond memory", func(st *snapshotState) {
+			st.Buddy.FreeFrames[len(st.Buddy.FreeFrames)-1] = st.Buddy.TotalFrames
+		}},
+		{"misaligned free head", func(st *snapshotState) {
+			for i, o := range st.Buddy.FreeOrders {
+				if o > 0 {
+					st.Buddy.FreeFrames[i]++
+					return
+				}
+			}
+		}},
+		{"overlapping free blocks", func(st *snapshotState) {
+			st.Buddy.FreeFrames[1] = st.Buddy.FreeFrames[0]
+		}},
+		{"free count", func(st *snapshotState) { st.Buddy.FreeCount++ }},
+		{"hog frame beyond memory", func(st *snapshotState) { st.Hog.Frames[0] = st.Buddy.TotalFrames }},
+		{"duplicate hog frame", func(st *snapshotState) { st.Hog.Frames[1] = st.Hog.Frames[0] }},
+		{"hog index contradicts frames", func(st *snapshotState) {
+			st.Hog.PinnedIdx[0], st.Hog.PinnedIdx[1] = st.Hog.PinnedIdx[1], st.Hog.PinnedIdx[0]
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := snap.m.captureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(st)
+			data, err := encodeState(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = UnmarshalSnapshot(data)
+			if !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("got err %v, want %v", err, ErrSnapshotCorrupt)
+			}
+			if strings.Contains(err.Error(), "panic") {
+				t.Errorf("rejected only by a recovered panic: %v", err)
 			}
 		})
 	}

@@ -11,7 +11,6 @@
 package physmem
 
 import (
-	"container/heap"
 	"fmt"
 
 	"seesaw/internal/addr"
@@ -41,20 +40,46 @@ func OrderFor(s addr.PageSize) int {
 // deterministic lowest-address-first behaviour at O(log n). Entries may
 // be stale (the block was removed by coalescing or targeted allocation);
 // popFree validates each candidate against freeOrder before using it.
-type frameHeap struct {
-	frames []uint64
+//
+// push and pop sift exactly as the standard library's heap.Push and
+// heap.Pop do, so the backing slice — which BuddyState serializes
+// verbatim — holds the same frames in the same positions as it did when
+// the allocator boxed its frames through that package.
+type frameHeap []uint64
+
+func (h *frameHeap) push(f uint64) {
+	s := append(*h, f)
+	*h = s
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || s[j] >= s[i] {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
 }
 
-func (h *frameHeap) Len() int           { return len(h.frames) }
-func (h *frameHeap) Less(i, j int) bool { return h.frames[i] < h.frames[j] }
-func (h *frameHeap) Swap(i, j int)      { h.frames[i], h.frames[j] = h.frames[j], h.frames[i] }
-func (h *frameHeap) Push(x any)         { h.frames = append(h.frames, x.(uint64)) }
-func (h *frameHeap) Pop() any {
-	old := h.frames
-	n := len(old)
-	x := old[n-1]
-	h.frames = old[:n-1]
-	return x
+func (h *frameHeap) pop() uint64 {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2] < s[j] {
+			j = j2 // right child
+		}
+		if s[j] >= s[i] {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }
 
 // Buddy is a binary buddy allocator over a simulated physical memory.
@@ -63,11 +88,13 @@ type Buddy struct {
 	maxOrder    int
 
 	// freeLists[k] holds the start frames of free order-k blocks.
-	freeLists []*frameHeap
-	// freeOrder maps a free block's start frame to its order, for O(1)
-	// buddy-coalescing checks. A frame appears here iff it heads a free
-	// block.
-	freeOrder map[uint64]int
+	freeLists []frameHeap
+	// freeOrder is indexed by frame: 1+order when the frame heads a free
+	// block of that order, 0 otherwise. It gives O(1) buddy-coalescing
+	// checks at one byte per frame.
+	freeOrder []uint8
+	// freeHeads counts the nonzero entries of freeOrder.
+	freeHeads int
 
 	freeFrames uint64
 }
@@ -87,12 +114,9 @@ func New(totalBytes uint64) (*Buddy, error) {
 	b := &Buddy{
 		totalFrames: frames,
 		maxOrder:    maxOrder,
-		freeLists:   make([]*frameHeap, maxOrder+1),
-		freeOrder:   make(map[uint64]int),
+		freeLists:   make([]frameHeap, maxOrder+1),
+		freeOrder:   make([]uint8, frames),
 		freeFrames:  frames,
-	}
-	for k := range b.freeLists {
-		b.freeLists[k] = &frameHeap{}
 	}
 	// Seed free memory greedily with the largest blocks that fit.
 	frame := uint64(0)
@@ -116,9 +140,15 @@ func MustNew(totalBytes uint64) *Buddy {
 	return b
 }
 
+// isFree reports whether frame heads a free block of exactly this order.
+func (b *Buddy) isFree(frame uint64, order int) bool {
+	return b.freeOrder[frame] == uint8(order+1)
+}
+
 func (b *Buddy) pushFree(frame uint64, order int) {
-	heap.Push(b.freeLists[order], frame)
-	b.freeOrder[frame] = order
+	b.freeLists[order].push(frame)
+	b.freeOrder[frame] = uint8(order + 1)
+	b.freeHeads++
 }
 
 // popFree removes and returns the lowest free block of exactly this order,
@@ -126,13 +156,13 @@ func (b *Buddy) pushFree(frame uint64, order int) {
 // targeted allocation are recognized (freeOrder no longer lists them at
 // this order) and skipped.
 func (b *Buddy) popFree(order int) (uint64, bool) {
-	h := b.freeLists[order]
-	for h.Len() > 0 {
-		frame := heap.Pop(h).(uint64)
-		if o, ok := b.freeOrder[frame]; !ok || o != order {
+	h := &b.freeLists[order]
+	for len(*h) > 0 {
+		frame := h.pop()
+		if !b.isFree(frame, order) {
 			continue // stale entry
 		}
-		delete(b.freeOrder, frame)
+		b.removeFree(frame)
 		return frame, true
 	}
 	return 0, false
@@ -140,8 +170,9 @@ func (b *Buddy) popFree(order int) (uint64, bool) {
 
 // removeFree removes a specific free block (used when coalescing and by
 // targeted allocation); its heap entry goes stale and is skipped later.
-func (b *Buddy) removeFree(frame uint64, order int) {
-	delete(b.freeOrder, frame)
+func (b *Buddy) removeFree(frame uint64) {
+	b.freeOrder[frame] = 0
+	b.freeHeads--
 }
 
 // AllocOrder allocates a naturally aligned block of 2^order frames,
@@ -196,7 +227,7 @@ func (b *Buddy) AllocFrameAt(frame uint64, order int) error {
 	var coverHead uint64
 	for k := order; k <= b.maxOrder; k++ {
 		head := frame &^ ((uint64(1) << k) - 1)
-		if o, ok := b.freeOrder[head]; ok && o == k && head+(1<<k) >= frame+(1<<order) {
+		if b.isFree(head, k) {
 			cover, coverHead = k, head
 			break
 		}
@@ -204,7 +235,7 @@ func (b *Buddy) AllocFrameAt(frame uint64, order int) error {
 	if cover < 0 {
 		return fmt.Errorf("physmem: frame %d order %d not free", frame, order)
 	}
-	b.removeFree(coverHead, cover)
+	b.removeFree(coverHead)
 	// Split the covering block down, keeping the halves that do not
 	// contain the target.
 	for cover > order {
@@ -221,11 +252,16 @@ func (b *Buddy) AllocFrameAt(frame uint64, order int) error {
 	return nil
 }
 
-// ForEachFreeBlock visits every free block (head frame and order).
-// Iteration order is unspecified.
+// ForEachFreeBlock visits every free block (head frame and order) in
+// ascending frame order.
 func (b *Buddy) ForEachFreeBlock(fn func(frame uint64, order int)) {
-	for frame, order := range b.freeOrder {
-		fn(frame, order)
+	for f := uint64(0); f < b.totalFrames; {
+		if o := b.freeOrder[f]; o != 0 {
+			fn(f, int(o-1))
+			f += 1 << (o - 1)
+		} else {
+			f++
+		}
 	}
 }
 
@@ -236,16 +272,16 @@ func (b *Buddy) FreeOrder(frame uint64, order int) error {
 	if order < 0 || order > b.maxOrder || frame%(1<<order) != 0 || frame+(1<<order) > b.totalFrames {
 		return fmt.Errorf("physmem: bad free of frame %d order %d", frame, order)
 	}
-	if _, isFree := b.freeOrder[frame]; isFree {
+	if b.freeOrder[frame] != 0 {
 		return fmt.Errorf("physmem: double free of frame %d", frame)
 	}
 	b.freeFrames += 1 << order
 	for order < b.maxOrder {
 		buddy := frame ^ (1 << order)
-		if bo, ok := b.freeOrder[buddy]; !ok || bo != order {
+		if !b.isFree(buddy, order) {
 			break
 		}
-		b.removeFree(buddy, order)
+		b.removeFree(buddy)
 		if buddy < frame {
 			frame = buddy
 		}
@@ -273,11 +309,11 @@ func (b *Buddy) MaxOrder() int { return b.maxOrder }
 // order.
 func (b *Buddy) FreeBlocks(order int) int {
 	n := 0
-	for _, o := range b.freeOrder {
+	b.ForEachFreeBlock(func(_ uint64, o int) {
 		if o == order {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -286,11 +322,11 @@ func (b *Buddy) FreeBlocks(order int) int {
 // that order without compaction.
 func (b *Buddy) FreeBytesAtLeast(order int) uint64 {
 	var frames uint64
-	for _, o := range b.freeOrder {
+	b.ForEachFreeBlock(func(_ uint64, o int) {
 		if o >= order {
 			frames += 1 << o
 		}
-	}
+	})
 	return frames * 4096
 }
 
@@ -302,19 +338,4 @@ func (b *Buddy) Fragmentation() float64 {
 		return 1
 	}
 	return 1 - float64(b.FreeBytesAtLeast(Order2M))/float64(free)
-}
-
-// checkInvariants verifies internal consistency; used by tests.
-func (b *Buddy) checkInvariants() error {
-	var frames uint64
-	for frame, order := range b.freeOrder {
-		if frame%(1<<order) != 0 {
-			return fmt.Errorf("free block %d misaligned for order %d", frame, order)
-		}
-		frames += 1 << order
-	}
-	if frames != b.freeFrames {
-		return fmt.Errorf("free frame count %d != accounted %d", b.freeFrames, frames)
-	}
-	return nil
 }

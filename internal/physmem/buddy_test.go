@@ -161,7 +161,7 @@ func TestRandomAllocFreeInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No two live blocks may overlap.
-	seen := map[uint64]bool{}
+	seen := make([]bool, 32<<20/4096)
 	for _, bl := range live {
 		for f := bl.frame; f < bl.frame+(1<<bl.order); f++ {
 			if seen[f] {

@@ -1,6 +1,9 @@
 package physmem
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // Clone returns an independent deep copy of the allocator: same free
 // blocks, same fragmentation, same deterministic lowest-address-first
@@ -10,15 +13,13 @@ func (b *Buddy) Clone() *Buddy {
 	c := &Buddy{
 		totalFrames: b.totalFrames,
 		maxOrder:    b.maxOrder,
-		freeLists:   make([]*frameHeap, len(b.freeLists)),
-		freeOrder:   make(map[uint64]int, len(b.freeOrder)),
+		freeLists:   make([]frameHeap, len(b.freeLists)),
+		freeOrder:   slices.Clone(b.freeOrder),
+		freeHeads:   b.freeHeads,
 		freeFrames:  b.freeFrames,
 	}
 	for k, h := range b.freeLists {
-		c.freeLists[k] = &frameHeap{frames: append([]uint64(nil), h.frames...)}
-	}
-	for f, o := range b.freeOrder {
-		c.freeOrder[f] = o
+		c.freeLists[k] = slices.Clone(h)
 	}
 	return c
 }
@@ -28,17 +29,13 @@ func (b *Buddy) Clone() *Buddy {
 // generator sits at the same position as the original's (see
 // internal/xrand) so compactions replay identically.
 func (h *Memhog) Clone(buddy *Buddy, rng *rand.Rand) *Memhog {
-	c := &Memhog{
+	return &Memhog{
 		buddy:       buddy,
 		rng:         rng,
-		pinned:      make(map[uint64]int, len(h.pinned)),
-		frames:      append([]uint64(nil), h.frames...),
+		pinned:      slices.Clone(h.pinned),
+		frames:      slices.Clone(h.frames),
 		cursor:      h.cursor,
 		Migrations:  h.Migrations,
 		Compactions: h.Compactions,
 	}
-	for f, i := range h.pinned {
-		c.pinned[f] = i
-	}
-	return c
 }

@@ -2,6 +2,8 @@ package physmem
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"seesaw/internal/addr"
@@ -58,39 +60,71 @@ func TestBuddyStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBuddyStateRejections: states from a different geometry or with
-// inconsistent free-order arrays are rejected.
+// buddyCorruptions damage a valid BuddyState in each way Buddy.SetState
+// must reject; want is a fragment of the expected error.
+var buddyCorruptions = []struct {
+	name, want string
+	corrupt    func(s *BuddyState)
+}{
+	{"order list count", "order lists", func(s *BuddyState) { s.FreeLists = s.FreeLists[:len(s.FreeLists)-1] }},
+	{"geometry", "covers", func(s *BuddyState) { s.TotalFrames *= 2 }},
+	{"order arrays", "arrays disagree", func(s *BuddyState) { s.FreeFrames = s.FreeFrames[:len(s.FreeFrames)-1] }},
+	{"list entry beyond memory", "free-list entry", func(s *BuddyState) {
+		s.FreeLists[Order2M] = append(s.FreeLists[Order2M], s.TotalFrames)
+	}},
+	{"head beyond memory", "beyond", func(s *BuddyState) { s.FreeFrames[len(s.FreeFrames)-1] = s.TotalFrames }},
+	{"order past maximum", "outside", func(s *BuddyState) { s.FreeOrders[0] = Order1G + 1 }},
+	{"negative order", "outside", func(s *BuddyState) { s.FreeOrders[0] = -1 }},
+	{"misaligned head", "misaligned", func(s *BuddyState) { s.FreeFrames[largeBlock(s)]++ }},
+	{"overlapping blocks", "overlaps", func(s *BuddyState) {
+		i := largeBlock(s)
+		s.FreeFrames = slices.Insert(s.FreeFrames, i+1, s.FreeFrames[i]+1)
+		s.FreeOrders = slices.Insert(s.FreeOrders, i+1, 0)
+		s.FreeCount++
+	}},
+	{"unsorted heads", "precedes", func(s *BuddyState) {
+		s.FreeFrames[0], s.FreeFrames[1] = s.FreeFrames[1], s.FreeFrames[0]
+		s.FreeOrders[0], s.FreeOrders[1] = s.FreeOrders[1], s.FreeOrders[0]
+	}},
+	{"free count", "free count", func(s *BuddyState) { s.FreeCount++ }},
+}
+
+// largeBlock returns the index of the first free block of order > 0.
+func largeBlock(s *BuddyState) int {
+	for i, o := range s.FreeOrders {
+		if o > 0 {
+			return i
+		}
+	}
+	panic("no free block above order 0")
+}
+
+// TestBuddyStateRejections: every corrupt state is rejected with its
+// error, and the rejecting allocator is left exactly as it was.
 func TestBuddyStateRejections(t *testing.T) {
-	b := fragmented(t)
-
-	if err := MustNew(32 << 20).SetState(b.State()); err == nil {
+	src := fragmented(t)
+	for _, tc := range buddyCorruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			s := src.State()
+			tc.corrupt(&s)
+			r := MustNew(64 << 20)
+			r.AllocOrder(Order2M)
+			r.AllocOrder(Order4K)
+			before := gobDigest(t, r.State())
+			err := r.SetState(s)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("SetState error %v, want one mentioning %q", err, tc.want)
+			}
+			if gobDigest(t, r.State()) != before {
+				t.Error("a rejected state changed the allocator")
+			}
+			if err := r.checkInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if err := MustNew(32 << 20).SetState(src.State()); err == nil {
 		t.Error("accepted a state from a larger memory")
-	}
-
-	frames := b.State()
-	frames.FreeFrames = frames.FreeFrames[:len(frames.FreeFrames)-1]
-	if err := MustNew(64 << 20).SetState(frames); err == nil {
-		t.Error("accepted mismatched free-order arrays")
-	}
-
-	beyond := b.State()
-	beyond.FreeFrames = append([]uint64(nil), beyond.FreeFrames...)
-	beyond.FreeFrames[0] = beyond.TotalFrames
-	if err := MustNew(64 << 20).SetState(beyond); err == nil {
-		t.Error("accepted a free frame beyond the memory")
-	}
-
-	order := b.State()
-	order.FreeOrders = append([]int(nil), order.FreeOrders...)
-	order.FreeOrders[0] = Order1G + 1
-	if err := MustNew(64 << 20).SetState(order); err == nil {
-		t.Error("accepted a free order past the allocator's maximum")
-	}
-
-	lists := b.State()
-	lists.FreeLists = lists.FreeLists[:len(lists.FreeLists)-1]
-	if err := MustNew(64 << 20).SetState(lists); err == nil {
-		t.Error("accepted a state with the wrong order-list count")
 	}
 }
 
@@ -126,31 +160,59 @@ func TestMemhogStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMemhogStateRejections: inconsistent pinned arrays and a negative
-// cursor are corrupt states.
+// hogCorruptions damage a valid MemhogState (over 64MB of memory) in
+// each way Memhog.SetState must reject; want is a fragment of the
+// expected error.
+var hogCorruptions = []struct {
+	name, want string
+	corrupt    func(s *MemhogState)
+}{
+	{"pinned arrays", "arrays disagree", func(s *MemhogState) { s.PinnedIdx = s.PinnedIdx[:len(s.PinnedIdx)-1] }},
+	{"index size", "pinned index lists", func(s *MemhogState) {
+		s.PinnedFrames = s.PinnedFrames[:len(s.PinnedFrames)-1]
+		s.PinnedIdx = s.PinnedIdx[:len(s.PinnedIdx)-1]
+	}},
+	{"negative cursor", "negative", func(s *MemhogState) { s.Cursor = -1 }},
+	{"frame beyond memory", "beyond", func(s *MemhogState) { s.Frames[0] = 64 << 20 / 4096 }},
+	{"duplicate frame", "twice", func(s *MemhogState) { s.Frames[1] = s.Frames[0] }},
+	{"index past the list", "disagrees", func(s *MemhogState) { s.PinnedIdx[0] = len(s.Frames) }},
+	{"negative index", "disagrees", func(s *MemhogState) { s.PinnedIdx[0] = -1 }},
+	{"index contradicts frames", "disagrees", func(s *MemhogState) {
+		s.PinnedIdx[0], s.PinnedIdx[1] = s.PinnedIdx[1], s.PinnedIdx[0]
+	}},
+	{"unsorted pins", "ascending", func(s *MemhogState) {
+		s.PinnedFrames[0], s.PinnedFrames[1] = s.PinnedFrames[1], s.PinnedFrames[0]
+		s.PinnedIdx[0], s.PinnedIdx[1] = s.PinnedIdx[1], s.PinnedIdx[0]
+	}},
+}
+
+// TestMemhogStateRejections: every corrupt state is rejected with its
+// error, and the rejecting hog is left exactly as it was.
 func TestMemhogStateRejections(t *testing.T) {
-	b := MustNew(64 << 20)
-	h, err := Run(b, rand.New(rand.NewSource(7)), 0.2, 0.5)
+	src, err := Run(MustNew(64<<20), rand.New(rand.NewSource(7)), 0.2, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	arrays := h.State()
-	arrays.PinnedIdx = arrays.PinnedIdx[:len(arrays.PinnedIdx)-1]
-	if err := h.SetState(arrays); err == nil {
-		t.Error("accepted mismatched pinned arrays")
-	}
-
-	idx := h.State()
-	idx.PinnedIdx = append([]int(nil), idx.PinnedIdx...)
-	idx.PinnedIdx[0] = len(idx.Frames)
-	if err := h.SetState(idx); err == nil {
-		t.Error("accepted a pinned index past the frame list")
-	}
-
-	cursor := h.State()
-	cursor.Cursor = -1
-	if err := h.SetState(cursor); err == nil {
-		t.Error("accepted a negative cursor")
+	for _, tc := range hogCorruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			s := src.State()
+			tc.corrupt(&s)
+			rb := MustNew(64 << 20)
+			r, err := Run(rb, rand.New(rand.NewSource(8)), 0.1, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := gobDigest(t, r.State())
+			err = r.SetState(s)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("SetState error %v, want one mentioning %q", err, tc.want)
+			}
+			if gobDigest(t, r.State()) != before {
+				t.Error("a rejected state changed the hog")
+			}
+			if err := r.checkHog(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

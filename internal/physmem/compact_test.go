@@ -44,12 +44,20 @@ func TestAllocFrameAtValidation(t *testing.T) {
 	}
 }
 
+// TestForEachFreeBlockAccountsAllFreeMemory: the visit covers all free
+// memory, in ascending frame order.
 func TestForEachFreeBlockAccountsAllFreeMemory(t *testing.T) {
 	b := MustNew(16 << 20)
 	b.AllocOrder(Order4K)
 	b.AllocOrder(Order2M)
-	var frames uint64
-	b.ForEachFreeBlock(func(frame uint64, order int) { frames += 1 << order })
+	var frames, next uint64
+	b.ForEachFreeBlock(func(frame uint64, order int) {
+		if frame < next {
+			t.Errorf("free block %d visited after one ending at %d", frame, next)
+		}
+		next = frame + 1<<order
+		frames += 1 << order
+	})
 	if frames*4096 != b.FreeBytes() {
 		t.Errorf("iterated %d bytes, free %d", frames*4096, b.FreeBytes())
 	}

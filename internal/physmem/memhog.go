@@ -22,12 +22,11 @@ import (
 type Memhog struct {
 	buddy *Buddy
 	rng   *rand.Rand
-	// The pinned frames form an indexed set: pinned maps a frame to its
-	// position in frames. Iterating frames (instead of the map) keeps
-	// Touch and Release deterministic — Go's map iteration order is
-	// random, and leaking it into the simulation makes runs with
-	// fragmentation irreproducible.
-	pinned map[uint64]int
+	// The pinned frames form an indexed set. frames lists them in pin
+	// order, which Touch and Release walk; pinned is indexed by frame and
+	// holds 1+the frame's position in frames, or 0 when the hog does not
+	// pin it.
+	pinned []int32
 	frames []uint64
 	cursor int // next Touch position in frames
 
@@ -38,17 +37,17 @@ type Memhog struct {
 }
 
 func (h *Memhog) pin(f uint64) {
-	h.pinned[f] = len(h.frames)
 	h.frames = append(h.frames, f)
+	h.pinned[f] = int32(len(h.frames))
 }
 
 func (h *Memhog) unpin(f uint64) {
-	i := h.pinned[f]
+	i := h.pinned[f] - 1
 	last := len(h.frames) - 1
 	h.frames[i] = h.frames[last]
-	h.pinned[h.frames[i]] = i
+	h.pinned[h.frames[i]] = i + 1
 	h.frames = h.frames[:last]
-	delete(h.pinned, f)
+	h.pinned[f] = 0
 }
 
 // Run fragments memory, pinning `fraction` of it. touch is the total
@@ -69,8 +68,8 @@ func Run(b *Buddy, rng *rand.Rand, fraction, touch float64) (*Memhog, error) {
 	if touch > 0.97 {
 		touch = 0.97
 	}
-	h := &Memhog{buddy: b, rng: rng, pinned: make(map[uint64]int)}
-	totalFrames := b.TotalBytes() / 4096
+	totalFrames := b.totalFrames
+	h := &Memhog{buddy: b, rng: rng, pinned: make([]int32, totalFrames)}
 	pinTarget := uint64(float64(totalFrames) * fraction)
 	allocTarget := uint64(float64(totalFrames) * touch)
 	frames := make([]uint64, 0, allocTarget)
@@ -92,8 +91,9 @@ func Run(b *Buddy, rng *rand.Rand, fraction, touch float64) (*Memhog, error) {
 			return nil, err
 		}
 	}
-	for _, f := range frames[:keep] {
-		h.pin(f)
+	h.frames = frames[:keep]
+	for i, f := range h.frames {
+		h.pinned[f] = int32(i + 1)
 	}
 	return h, nil
 }
@@ -109,7 +109,7 @@ func (h *Memhog) Release() error {
 			return err
 		}
 	}
-	h.pinned = make(map[uint64]int)
+	clear(h.pinned)
 	h.frames = nil
 	h.cursor = 0
 	return nil
@@ -143,43 +143,38 @@ func (h *Memhog) Touch(n int) []addr.PAddr {
 func (h *Memhog) Compact(order int) bool {
 	blockFrames := uint64(1) << order
 
-	// Count free frames per candidate region.
-	freePerRegion := make(map[uint64]uint64)
-	h.buddy.ForEachFreeBlock(func(frame uint64, o int) {
-		if o >= order {
-			return // already a full free block; nothing to compact
-		}
-		freePerRegion[frame/blockFrames] += 1 << o
-	})
-	// Add the hog's movable frames.
-	type cand struct{ free, movable uint64 }
-	cands := make(map[uint64]*cand)
-	for region, n := range freePerRegion {
-		cands[region] = &cand{free: n}
+	// A region is a candidate when every frame in it is free or pinned
+	// by the hog. Free blocks of at least this order are already whole
+	// regions and need no compaction, so only smaller ones count as free
+	// here: size maps each freeOrder byte (0 off block heads) to the
+	// frames it adds, which sums a region without a branch per frame.
+	total := h.buddy.totalFrames
+	regions := (total + blockFrames - 1) >> order
+	var size [256]uint64
+	for o := 0; o < min(order, Order1G+1); o++ {
+		size[1+o] = 1 << o
 	}
-	for f := range h.pinned {
-		region := f / blockFrames
-		c, ok := cands[region]
-		if !ok {
-			c = &cand{}
-			cands[region] = c
-		}
-		c.movable++
+	movable := make([]uint64, regions)
+	for _, f := range h.frames {
+		movable[f>>order]++
 	}
-	best := uint64(0)
+	// Fewest migrations wins; the ascending scan breaks ties toward the
+	// lowest region, and skips regions that could not win.
+	best := regions
 	bestMovable := blockFrames + 1
-	found := false
-	for region, c := range cands {
-		if c.free+c.movable != blockFrames {
+	for r := range regions {
+		if movable[r] >= bestMovable {
 			continue
 		}
-		// Fully ordered pick (fewest migrations, then lowest region) so
-		// the map's random iteration order cannot leak into the result.
-		if c.movable < bestMovable || (c.movable == bestMovable && region < best) {
-			best, bestMovable, found = region, c.movable, true
+		var free uint64
+		for _, o := range h.buddy.freeOrder[r<<order : min((r+1)<<order, total)] {
+			free += size[o]
+		}
+		if free+movable[r] == blockFrames {
+			best, bestMovable = r, movable[r]
 		}
 	}
-	if !found {
+	if best == regions {
 		return false
 	}
 	// Migration targets must exist: bestMovable free frames *outside*
@@ -193,7 +188,7 @@ func (h *Memhog) Compact(order int) bool {
 	// allocations cannot land there.
 	var claimed []uint64
 	for f := start; f < start+blockFrames; f++ {
-		if _, mine := h.pinned[f]; mine {
+		if h.pinned[f] != 0 {
 			continue
 		}
 		if err := h.buddy.AllocFrameAt(f, Order4K); err != nil {
@@ -208,7 +203,7 @@ func (h *Memhog) Compact(order int) bool {
 	// Step 2: migrate the hog's pages out.
 	var moved []uint64
 	for f := start; f < start+blockFrames; f++ {
-		if _, mine := h.pinned[f]; !mine {
+		if h.pinned[f] == 0 {
 			continue
 		}
 		nf, ok := h.buddy.AllocOrder(Order4K)

@@ -318,7 +318,10 @@ func TestDrain(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	release <- struct{}{} // let the in-flight job finish cleanly
+	// Let the in-flight job finish cleanly. Closing, not sending, also
+	// releases a probe job that was accepted before Drain turned intake
+	// off; Drain must wait for that one too.
+	close(release)
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
