@@ -88,7 +88,10 @@ func TestSystemStateRejections(t *testing.T) {
 	}
 
 	llc := sys.State()
-	llc.LLC.Tags = llc.LLC.Tags[:8]
+	if llc.LLC.States == nil {
+		t.Fatal("the warmed LLC image omits its line states")
+	}
+	llc.LLC.States = llc.LLC.States[:8]
 	if err := twin.SetState(llc); err == nil {
 		t.Error("accepted an LLC image with the wrong geometry")
 	}

@@ -124,7 +124,10 @@ func TestL1StateRejections(t *testing.T) {
 	}
 
 	geom := StateOf(warmSeesaw())
-	geom.Cache.Tags = geom.Cache.Tags[:4]
+	if geom.Cache.States == nil {
+		t.Fatal("the warmed storage image omits its line states")
+	}
+	geom.Cache.States = geom.Cache.States[:4]
 	if err := SetL1State(MustNewSeesaw(wpCfg()), geom); err == nil {
 		t.Error("accepted a storage image with the wrong geometry")
 	}

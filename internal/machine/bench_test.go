@@ -7,13 +7,17 @@ import (
 	"seesaw/internal/workload"
 )
 
-// forkSink keeps the benchmarked Fork from being optimized away.
-var forkSink *Machine
+// Sinks keep the benchmarked calls from being optimized away.
+var (
+	forkSink  *Machine
+	bytesSink []byte
+	snapSink  *Snapshot
+)
 
-// BenchmarkForkMemhog forks a warmed memhog-0.6 master over 1GB of
-// memory: the per-cell cost a fragmentation sweep pays for every design
-// point sharing one warmup.
-func BenchmarkForkMemhog(b *testing.B) {
+// memhogMaster builds and warms a memhog-0.6 master over 1GB of memory,
+// the machine a fragmentation sweep shares across its design points.
+func memhogMaster(b *testing.B) (*Machine, Config) {
+	b.Helper()
 	p, err := workload.ByName("redis")
 	if err != nil {
 		b.Fatal(err)
@@ -31,6 +35,14 @@ func BenchmarkForkMemhog(b *testing.B) {
 	if err := m.Warmup(context.Background()); err != nil {
 		b.Fatal(err)
 	}
+	return m, cfg
+}
+
+// BenchmarkForkMemhog forks a warmed memhog-0.6 master over 1GB of
+// memory: the per-cell cost a fragmentation sweep pays for every design
+// point sharing one warmup.
+func BenchmarkForkMemhog(b *testing.B) {
+	m, cfg := memhogMaster(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,4 +52,54 @@ func BenchmarkForkMemhog(b *testing.B) {
 		}
 		forkSink = f
 	}
+}
+
+// memhogRung encodes the warmed memhog-0.6 master: a ladder rung as the
+// store holds it.
+func memhogRung(b *testing.B) (*Snapshot, []byte) {
+	b.Helper()
+	m, _ := memhogMaster(b)
+	snap, err := m.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := snap.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return snap, data
+}
+
+// BenchmarkSnapshotMarshal encodes a warmed memhog-0.6 rung, the codec
+// cost a ladder pays for every rung it stores; encoded_KB is the rung's
+// size.
+func BenchmarkSnapshotMarshal(b *testing.B) {
+	snap, data := memhogRung(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := snap.MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		bytesSink = out
+	}
+	b.ReportMetric(float64(len(data))/1024, "encoded_KB")
+}
+
+// BenchmarkSnapshotUnmarshal decodes a warmed memhog-0.6 rung, Build of
+// the embedded config included: the cost of every resume from the
+// ladder.
+func BenchmarkSnapshotUnmarshal(b *testing.B) {
+	_, data := memhogRung(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := UnmarshalSnapshot(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		snapSink = s
+	}
+	b.ReportMetric(float64(len(data))/1024, "encoded_KB")
 }

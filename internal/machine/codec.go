@@ -35,7 +35,17 @@ import (
 // a semantic change to how state is applied. The store folds it into
 // every snapshot key and prunes entries whose header disagrees, so old
 // rungs are recomputed rather than mis-resumed.
-const SnapshotSchemaVersion = 1
+//
+// Version 2 writes the gob payload uncompressed and drops what the state
+// does not need (the buddy's heaps, the memhog's repeated frame index,
+// all-zero cache arrays). A version-1 payload is a flate-compressed gob
+// of the same snapshotState plus the dropped fields, which gob skips on
+// decode; version 1 stays decodable and is never written.
+const SnapshotSchemaVersion = 2
+
+// snapSchemaV1 is the flate-compressed schema, accepted by
+// UnmarshalBinary for snapshots written before version 2.
+const snapSchemaV1 = 1
 
 // snapMagic opens every encoded snapshot. The leading byte is
 // deliberately non-ASCII so a snapshot is never mistaken for text.
@@ -46,9 +56,10 @@ const snapHeaderLen = 8 + 2 + 8 + 4
 
 func crc32Of(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 
-// maxSnapPayload bounds the declared payload length so a corrupt header
-// cannot make the decoder allocate unbounded memory.
-const maxSnapPayload = 1 << 32
+// maxV1Payload bounds how much a version-1 payload may inflate to, so a
+// hostile flate stream cannot make the decoder allocate unbounded
+// memory. A version-2 payload is bounded by the input itself.
+const maxV1Payload = 1 << 32
 
 // Typed snapshot decoding errors. Callers (the store's GC, the ladder's
 // resume path, the fuzz battery) distinguish them with errors.Is; none
@@ -313,8 +324,8 @@ func (m *Machine) applyState(st *snapshotState) error {
 
 // MarshalBinary encodes the snapshot into the versioned binary format:
 // an integrity header (magic, SnapshotSchemaVersion, payload length,
-// CRC32) over a flate-compressed gob of the complete machine state,
-// config included. Encoding is deterministic — no map ranges reach the
+// CRC32) over an uncompressed gob of the complete machine state, config
+// included. Encoding is deterministic — no map ranges reach the
 // encoder — so equal snapshots produce equal bytes.
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	st, err := s.m.captureState()
@@ -325,24 +336,20 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 }
 
 // encodeState frames a captured state in the versioned binary format.
+// The gob is written straight after a reserved header, which is filled
+// in once the payload's length and checksum are known.
 func encodeState(st *snapshotState) ([]byte, error) {
-	var payload bytes.Buffer
-	fw, err := flate.NewWriter(&payload, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if err := gob.NewEncoder(fw).Encode(st); err != nil {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, snapHeaderLen))
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return nil, fmt.Errorf("machine: encoding snapshot: %w", err)
 	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	out := make([]byte, snapHeaderLen+payload.Len())
+	out := buf.Bytes()
+	payload := out[snapHeaderLen:]
 	copy(out, snapMagic[:])
 	binary.BigEndian.PutUint16(out[8:], SnapshotSchemaVersion)
-	binary.BigEndian.PutUint64(out[10:], uint64(payload.Len()))
-	binary.BigEndian.PutUint32(out[18:], crc32Of(payload.Bytes()))
-	copy(out[snapHeaderLen:], payload.Bytes())
+	binary.BigEndian.PutUint64(out[10:], uint64(len(payload)))
+	binary.BigEndian.PutUint32(out[18:], crc32Of(payload))
 	return out, nil
 }
 
@@ -360,7 +367,8 @@ func PeekSnapshotVersion(data []byte) (int, error) {
 }
 
 // UnmarshalBinary decodes data into s: the header is verified (magic,
-// schema version, length, checksum), the state payload decoded, a fresh
+// schema version, length, checksum), the state payload decoded (raw gob
+// for version 2, flate-compressed gob for version 1), a fresh
 // machine built from the embedded config, and every component restored
 // in place. All failures return typed errors (ErrSnapshotTruncated,
 // ErrSnapshotSchema, ErrSnapshotCorrupt); hostile input never panics
@@ -370,13 +378,10 @@ func (s *Snapshot) UnmarshalBinary(data []byte) (err error) {
 	if err != nil {
 		return err
 	}
-	if v != SnapshotSchemaVersion {
+	if v != SnapshotSchemaVersion && v != snapSchemaV1 {
 		return fmt.Errorf("%w: snapshot v%d, binary v%d", ErrSnapshotSchema, v, SnapshotSchemaVersion)
 	}
 	plen := binary.BigEndian.Uint64(data[10:18])
-	if plen > maxSnapPayload {
-		return fmt.Errorf("%w: declared payload of %d bytes", ErrSnapshotCorrupt, plen)
-	}
 	if uint64(len(data)-snapHeaderLen) < plen {
 		return ErrSnapshotTruncated
 	}
@@ -392,9 +397,12 @@ func (s *Snapshot) UnmarshalBinary(data []byte) (err error) {
 			err = fmt.Errorf("%w: decode panic: %v", ErrSnapshotCorrupt, r)
 		}
 	}()
+	var r io.Reader = bytes.NewReader(payload)
+	if v == snapSchemaV1 {
+		r = io.LimitReader(flate.NewReader(r), maxV1Payload)
+	}
 	var st snapshotState
-	fr := flate.NewReader(bytes.NewReader(payload))
-	if derr := gob.NewDecoder(io.LimitReader(fr, maxSnapPayload)).Decode(&st); derr != nil {
+	if derr := gob.NewDecoder(r).Decode(&st); derr != nil {
 		return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, derr)
 	}
 	cfg, cerr := st.Cfg.config()

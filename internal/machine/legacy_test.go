@@ -81,3 +81,48 @@ func TestLegacySnapshotDecode(t *testing.T) {
 		})
 	}
 }
+
+// TestLegacySnapshotMigratesToV2: each version-1 fixture decodes,
+// re-encodes as the current schema and decodes again; resuming the
+// version-1 and the re-encoded blob gives byte-identical reports, and
+// the re-encoding is a fixed point.
+func TestLegacySnapshotMigratesToV2(t *testing.T) {
+	for _, kind := range []CacheKind{KindSeesaw, KindBaseline, KindPIPT} {
+		name := kind.String()
+		t.Run(name, func(t *testing.T) {
+			v1, err := os.ReadFile(filepath.Join("testdata", "legacy", "snapshot_"+name+".bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, err := PeekSnapshotVersion(v1); err != nil || v != snapSchemaV1 {
+				t.Fatalf("fixture header: version %d, %v; want %d", v, err, snapSchemaV1)
+			}
+			old, err := UnmarshalSnapshot(v1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v2, err := old.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, err := PeekSnapshotVersion(v2); err != nil || v != SnapshotSchemaVersion {
+				t.Fatalf("re-encoded header: version %d, %v; want %d", v, err, SnapshotSchemaVersion)
+			}
+			migrated, err := UnmarshalSnapshot(v2)
+			if err != nil {
+				t.Fatalf("re-encoded legacy snapshot does not decode: %v", err)
+			}
+			again, err := migrated.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(v2, again) {
+				t.Error("re-encoding the migrated snapshot changes its bytes")
+			}
+			want, got := reportText(t, old.Resume()), reportText(t, migrated.Resume())
+			if !bytes.Equal(want, got) {
+				t.Errorf("resume from the migrated snapshot differs:\nv1:\n%s\nv2:\n%s", want, got)
+			}
+		})
+	}
+}

@@ -42,9 +42,9 @@ func OrderFor(s addr.PageSize) int {
 // popFree validates each candidate against freeOrder before using it.
 //
 // push and pop sift exactly as the standard library's heap.Push and
-// heap.Pop do, so the backing slice — which BuddyState serializes
-// verbatim — holds the same frames in the same positions as it did when
-// the allocator boxed its frames through that package.
+// heap.Pop do. The layout is not observable: heaps are not serialized
+// (SetState rebuilds them from the free blocks), and popFree returns the
+// lowest valid head whatever stale entries surround it.
 type frameHeap []uint64
 
 func (h *frameHeap) push(f uint64) {

@@ -1,6 +1,7 @@
 package physmem
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -35,8 +36,8 @@ func fragmented(t *testing.T) *Buddy {
 }
 
 // TestBuddyStateRoundTrip: an allocator restored from a captured state
-// has the same free memory and pops the same frames in the same order —
-// the heap invariant survives the flattened free lists.
+// has the same free memory and pops the same frames in the same order,
+// although its heaps are rebuilt from the free blocks alone.
 func TestBuddyStateRoundTrip(t *testing.T) {
 	b := fragmented(t)
 	fresh := MustNew(64 << 20)
@@ -66,12 +67,8 @@ var buddyCorruptions = []struct {
 	name, want string
 	corrupt    func(s *BuddyState)
 }{
-	{"order list count", "order lists", func(s *BuddyState) { s.FreeLists = s.FreeLists[:len(s.FreeLists)-1] }},
 	{"geometry", "covers", func(s *BuddyState) { s.TotalFrames *= 2 }},
 	{"order arrays", "arrays disagree", func(s *BuddyState) { s.FreeFrames = s.FreeFrames[:len(s.FreeFrames)-1] }},
-	{"list entry beyond memory", "free-list entry", func(s *BuddyState) {
-		s.FreeLists[Order2M] = append(s.FreeLists[Order2M], s.TotalFrames)
-	}},
 	{"head beyond memory", "beyond", func(s *BuddyState) { s.FreeFrames[len(s.FreeFrames)-1] = s.TotalFrames }},
 	{"order past maximum", "outside", func(s *BuddyState) { s.FreeOrders[0] = Order1G + 1 }},
 	{"negative order", "outside", func(s *BuddyState) { s.FreeOrders[0] = -1 }},
@@ -167,23 +164,9 @@ var hogCorruptions = []struct {
 	name, want string
 	corrupt    func(s *MemhogState)
 }{
-	{"pinned arrays", "arrays disagree", func(s *MemhogState) { s.PinnedIdx = s.PinnedIdx[:len(s.PinnedIdx)-1] }},
-	{"index size", "pinned index lists", func(s *MemhogState) {
-		s.PinnedFrames = s.PinnedFrames[:len(s.PinnedFrames)-1]
-		s.PinnedIdx = s.PinnedIdx[:len(s.PinnedIdx)-1]
-	}},
 	{"negative cursor", "negative", func(s *MemhogState) { s.Cursor = -1 }},
 	{"frame beyond memory", "beyond", func(s *MemhogState) { s.Frames[0] = 64 << 20 / 4096 }},
 	{"duplicate frame", "twice", func(s *MemhogState) { s.Frames[1] = s.Frames[0] }},
-	{"index past the list", "disagrees", func(s *MemhogState) { s.PinnedIdx[0] = len(s.Frames) }},
-	{"negative index", "disagrees", func(s *MemhogState) { s.PinnedIdx[0] = -1 }},
-	{"index contradicts frames", "disagrees", func(s *MemhogState) {
-		s.PinnedIdx[0], s.PinnedIdx[1] = s.PinnedIdx[1], s.PinnedIdx[0]
-	}},
-	{"unsorted pins", "ascending", func(s *MemhogState) {
-		s.PinnedFrames[0], s.PinnedFrames[1] = s.PinnedFrames[1], s.PinnedFrames[0]
-		s.PinnedIdx[0], s.PinnedIdx[1] = s.PinnedIdx[1], s.PinnedIdx[0]
-	}},
 }
 
 // TestMemhogStateRejections: every corrupt state is rejected with its
@@ -214,5 +197,79 @@ func TestMemhogStateRejections(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// staleEntries counts heap entries that no longer head a free block of
+// their heap's order.
+func (b *Buddy) staleEntries() int {
+	n := 0
+	for _, h := range b.freeLists {
+		n += len(h)
+	}
+	return n - b.freeHeads
+}
+
+// TestRestoredBuddyPopsLikeOriginal: a Buddy restored from a State —
+// which carries no heaps, so the restored heaps hold none of the
+// original's stale entries — pops the same frames as the original
+// through random allocations, frees, targeted allocations and
+// compactions, and captures the same State bytes after every step. The
+// copy is re-restored from the original at random points, so states
+// taken with many stale entries outstanding are covered too.
+func TestRestoredBuddyPopsLikeOriginal(t *testing.T) {
+	const mem = 32 << 20
+	b := MustNew(mem)
+	rng := rand.New(rand.NewSource(23))
+	h, err := Run(b, rng, 0.4, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, rh := restored(t, b, h)
+	var live []liveBlock
+	maxStale := 0
+	for step := 0; step < 2000; step++ {
+		var got, want string
+		switch op := rng.Intn(12); {
+		case op < 4:
+			order := []int{0, 0, 1, 3, Order2M}[rng.Intn(5)]
+			f, ok := b.AllocOrder(order)
+			rf, rok := rb.AllocOrder(order)
+			want, got = fmt.Sprint(f, ok), fmt.Sprint(rf, rok)
+			if ok {
+				live = append(live, liveBlock{f, order})
+			}
+		case op < 7 && len(live) > 0:
+			i := rng.Intn(len(live))
+			l := live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			want, got = fmt.Sprint(b.FreeOrder(l.frame, l.order)), fmt.Sprint(rb.FreeOrder(l.frame, l.order))
+		case op < 9:
+			order := rng.Intn(4)
+			f := uint64(rng.Intn(mem/4096)) &^ (1<<order - 1)
+			err := b.AllocFrameAt(f, order)
+			want, got = fmt.Sprint(err), fmt.Sprint(rb.AllocFrameAt(f, order))
+			if err == nil {
+				live = append(live, liveBlock{f, order})
+			}
+		case op < 11:
+			want, got = fmt.Sprint(h.Compact(Order2M), h.Migrations), fmt.Sprint(rh.Compact(Order2M), rh.Migrations)
+		default:
+			rb, rh = restored(t, b, h)
+		}
+		if got != want {
+			t.Fatalf("step %d: restored allocator returned %s, original %s", step, got, want)
+		}
+		maxStale = max(maxStale, b.staleEntries())
+		if stateDigest(t, rb, rh) != stateDigest(t, b, h) {
+			t.Fatalf("step %d: restored State bytes differ from the original's", step)
+		}
+		if err := rb.checkInvariants(); err != nil {
+			t.Fatalf("step %d: restored: %v", step, err)
+		}
+	}
+	if maxStale == 0 {
+		t.Error("the original never carried stale heap entries; the test exercised nothing")
 	}
 }

@@ -78,15 +78,19 @@ func wireScenario(t *testing.T) (*Buddy, *Memhog) {
 }
 
 // TestSnapshotWireFormatPinned pins the gob bytes of BuddyState and
-// MemhogState after a fixed scenario. The digests were recorded from the
-// map-based allocator that preceded the dense frame arrays; a change to
-// either digest changes what snapshots written by earlier versions
+// MemhogState after a fixed scenario. The snapshot schema was bumped to
+// version 2 when the states dropped the buddy's heaps (FreeLists) and
+// the memhog's repeated index (PinnedFrames/PinnedIdx); these digests
+// were recorded for version 2 on purpose, and cross-checked by encoding
+// the version-1 allocator's remaining fields under the version-2 struct
+// shapes after the same scenario, which gave the same digests. A change
+// to either digest changes what snapshots written by earlier versions
 // decode to, and needs a SnapshotSchemaVersion bump.
 func TestSnapshotWireFormatPinned(t *testing.T) {
 	b, h := wireScenario(t)
 	const (
-		wantBuddy = "f7d4d4a299852873a1685ab83dfd85bdd7aa8e0106139a5ece2971c435bc049a"
-		wantHog   = "21da766b92ba3ff077c69aba1cdbb041db62d7c2a2d95d852f896ff072d14675"
+		wantBuddy = "18227d14119274408ea65f688033108c68929c2f3da1cf329008db6cca8f3e3f"
+		wantHog   = "a4247302a0f332c403d901bbdd5198e1e61ca02bf81c710134e15c8110288a6b"
 	)
 	if got := gobDigest(t, b.State()); got != wantBuddy {
 		t.Errorf("BuddyState digest %s, want %s", got, wantBuddy)

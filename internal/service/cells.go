@@ -110,6 +110,9 @@ func (s *Server) handleCellRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rep, err := fut.Wait()
+	// Fold the counters before the result goes out: once a client has
+	// read it, /metrics and Drain must no longer count the cell running.
+	s.finishCellRun(pool)
 	res := CellRunResult{LeaseID: req.LeaseID, Report: rep}
 	if err != nil {
 		res.Error = err.Error()
@@ -120,7 +123,6 @@ func (s *Server) handleCellRun(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(w, "event: result\ndata: %s\n\n", data)
 	fl.Flush()
-	s.finishCellRun(pool)
 }
 
 // finishCellRun folds the request pool's outcome counters into the

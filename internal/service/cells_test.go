@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -17,6 +18,13 @@ import (
 // runCellStream POSTs one coordinator-style cell and consumes the SSE
 // response, returning the heartbeat count and the terminal result.
 func runCellStream(t *testing.T, url string, req CellRunRequest) (int, CellRunResult) {
+	t.Helper()
+	return streamCell(t, url, req, nil)
+}
+
+// streamCell is runCellStream that also calls onHeartbeat, if set, with
+// the running count after each heartbeat it reads.
+func streamCell(t *testing.T, url string, req CellRunRequest, onHeartbeat func(n int)) (int, CellRunResult) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/v1/cells/run", "application/json", bytes.NewReader(body))
@@ -53,6 +61,9 @@ func runCellStream(t *testing.T, url string, req CellRunRequest) (int, CellRunRe
 					t.Fatalf("heartbeat lease %q, want %q", hb.LeaseID, req.LeaseID)
 				}
 				heartbeats++
+				if onHeartbeat != nil {
+					onHeartbeat(heartbeats)
+				}
 			case "result":
 				if err := json.Unmarshal([]byte(data), &res); err != nil {
 					t.Fatalf("bad result %q: %v", data, err)
@@ -65,29 +76,37 @@ func runCellStream(t *testing.T, url string, req CellRunRequest) (int, CellRunRe
 	return 0, res
 }
 
-// slowRun returns a run function that holds the cell for d before
-// reporting, so heartbeats have time to fire.
-func slowRun(d time.Duration) func(context.Context, sim.Config) (*sim.Report, error) {
+// heldRun returns a run function that holds the cell until release is
+// closed, so the test decides how many heartbeats fire before it ends.
+func heldRun(release <-chan struct{}) func(context.Context, sim.Config) (*sim.Report, error) {
 	return func(ctx context.Context, cfg sim.Config) (*sim.Report, error) {
 		select {
-		case <-time.After(d):
+		case <-release:
 			return &sim.Report{SchemaVersion: sim.SchemaVersion, Design: "fake", Workload: cfg.Workload.Name}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
+		case <-time.After(time.Minute):
+			return nil, errors.New("cell never released")
 		}
 	}
 }
 
 // TestCellRunHeartbeatsAndResult: a dispatched cell streams periodic
 // lease-renewing heartbeats while it runs, then a terminal result
-// carrying the report, and the drain gate returns to idle.
+// carrying the report, and the drain gate returns to idle as soon as
+// the result has been read.
 func TestCellRunHeartbeatsAndResult(t *testing.T) {
-	s, ts, runs := newTestServer(t, Config{QueueDepth: 4, Workers: 2, Run: slowRun(150 * time.Millisecond)})
+	release := make(chan struct{})
+	s, ts, runs := newTestServer(t, Config{QueueDepth: 4, Workers: 2, Run: heldRun(release)})
 
 	cell := CellSpec{Workload: "redis", Refs: 1000, Seed: 7, MemMB: 256}
-	hb, res := runCellStream(t, ts.URL, CellRunRequest{Cell: cell, LeaseID: "lease-1", HeartbeatMS: 20})
+	hb, res := streamCell(t, ts.URL, CellRunRequest{Cell: cell, LeaseID: "lease-1", HeartbeatMS: 20}, func(n int) {
+		if n == 2 {
+			close(release) // the cell ends only after two heartbeats
+		}
+	})
 	if hb < 2 {
-		t.Errorf("saw %d heartbeats over a 150ms cell at 20ms cadence, want >=2", hb)
+		t.Errorf("saw %d heartbeats before the result at 20ms cadence, want >=2", hb)
 	}
 	if res.LeaseID != "lease-1" || res.Error != "" || res.Report == nil {
 		t.Fatalf("result %+v, want lease-1, no error, a report", res)

@@ -2,7 +2,7 @@
 // cluster-smoke`: it builds seesaw-coord, seesaw-served, and
 // seesaw-sweep, boots a coordinator with three self-registering workers,
 // runs the same small sweep locally and through the cluster — SIGKILLing
-// one worker mid-sweep — and requires the two merged tables to be
+// one worker while it holds a lease — and requires the two merged tables to be
 // byte-identical. It then SIGTERMs the coordinator and requires a clean
 // drain. Any deviation exits non-zero.
 //
@@ -33,9 +33,9 @@ func main() {
 }
 
 // sweepArgs is the grid run both locally and on the cluster; -csv output
-// is what gets byte-compared. The reference count is sized so the
-// cluster sweep takes long enough for the mid-sweep worker kill to land
-// while cells are still leased.
+// is what gets byte-compared. The kill waits for worker 0 to hold a
+// lease, so the reference count only needs each cell to outlast a
+// registry poll.
 var sweepArgs = []string{"-workloads", "redis,mcf", "-sizes", "32", "-refs", "60000", "-csv"}
 
 func run() error {
@@ -88,6 +88,7 @@ func run() error {
 
 	// Three workers, each announcing itself to the coordinator.
 	var workers []*exec.Cmd
+	var workerAddrs []string
 	defer func() {
 		for _, w := range workers {
 			w.Process.Kill()
@@ -104,18 +105,20 @@ func run() error {
 			return err
 		}
 		workers = append(workers, w)
-		if _, err := readAddr(wOut); err != nil {
+		wAddr, err := readAddr(wOut)
+		if err != nil {
 			return fmt.Errorf("worker %d: %w", i, err)
 		}
+		workerAddrs = append(workerAddrs, wAddr)
 	}
 	if err := waitHealthyWorkers(coordAddr, 3, 20*time.Second); err != nil {
 		return err
 	}
 	fmt.Println("clustersmoke: 3 workers registered and healthy")
 
-	// The cluster sweep, with one worker SIGKILLed shortly after it
-	// starts: its leases must break, the cells requeue, and the table
-	// still come out byte-identical.
+	// The cluster sweep, with worker 0 SIGKILLed as soon as the
+	// coordinator reports it holding a lease: its leases must break, the
+	// cells requeue, and the table still come out byte-identical.
 	sweep := exec.Command(sweepBin, append([]string{"-cluster", coordAddr}, sweepArgs...)...)
 	var clusterTable bytes.Buffer
 	sweep.Stdout = &clusterTable
@@ -123,28 +126,31 @@ func run() error {
 	if err := sweep.Start(); err != nil {
 		return err
 	}
-	killTimer := time.AfterFunc(300*time.Millisecond, func() {
-		fmt.Println("clustersmoke: SIGKILLing worker 0 mid-sweep")
-		workers[0].Process.Kill()
-		workers[0].Wait()
-	})
-	defer killTimer.Stop()
-	sweepDone := make(chan error, 1)
-	go func() { sweepDone <- sweep.Wait() }()
+	defer sweep.Process.Kill()
+	var sweepErr error
+	sweepDone := make(chan struct{})
+	go func() { sweepErr = sweep.Wait(); close(sweepDone) }()
+	if err := killWhenLeased(coordAddr, workerAddrs[0], workers[0], sweepDone); err != nil {
+		return err
+	}
 	select {
-	case err := <-sweepDone:
-		if err != nil {
-			return fmt.Errorf("cluster sweep: %v", err)
+	case <-sweepDone:
+		if sweepErr != nil {
+			return fmt.Errorf("cluster sweep: %v", sweepErr)
 		}
 	case <-time.After(3 * time.Minute):
-		sweep.Process.Kill()
 		return fmt.Errorf("cluster sweep did not finish within 3m of a worker crash")
 	}
-	if killTimer.Stop() {
-		// Stop returned true: the timer never fired, so the sweep finished
-		// before the crash and the requeue path went unexercised.
-		return fmt.Errorf("cluster sweep finished before the worker kill; raise -refs so the crash lands mid-sweep")
+	// The kill landed mid-sweep only if it broke a lease whose cell then
+	// ran elsewhere; otherwise the requeue path went unexercised.
+	n, err := requeues(coordAddr)
+	if err != nil {
+		return err
 	}
+	if n == 0 {
+		return fmt.Errorf("worker 0 was killed but no cell was requeued; the kill did not land mid-sweep")
+	}
+	fmt.Printf("clustersmoke: %d cell requeue(s) after the kill\n", n)
 	if !bytes.Equal(local, clusterTable.Bytes()) {
 		return fmt.Errorf("cluster table differs from local:\n--- local ---\n%s--- cluster ---\n%s",
 			local, clusterTable.Bytes())
@@ -166,6 +172,61 @@ func run() error {
 		return fmt.Errorf("coordinator did not exit within 30s of SIGTERM")
 	}
 	return nil
+}
+
+// killWhenLeased polls the coordinator's worker registry until the
+// worker at addr holds at least one lease, then SIGKILLs it. It fails if
+// the sweep (sweepDone) ends first, since the kill would then no longer
+// land mid-sweep.
+func killWhenLeased(coordAddr, addr string, worker *exec.Cmd, sweepDone <-chan struct{}) error {
+	for {
+		select {
+		case <-sweepDone:
+			return fmt.Errorf("cluster sweep finished before worker 0 took a cell; raise -refs so the crash lands mid-sweep")
+		default:
+		}
+		resp, err := http.Get("http://" + coordAddr + "/v1/cluster/workers")
+		if err != nil {
+			return fmt.Errorf("worker registry: %v", err)
+		}
+		var ws []struct {
+			Addr   string `json:"addr"`
+			Active int    `json:"active"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&ws)
+		resp.Body.Close()
+		if err != nil {
+			return fmt.Errorf("worker registry: %v", err)
+		}
+		for _, w := range ws {
+			if w.Addr == addr && w.Active >= 1 {
+				fmt.Printf("clustersmoke: SIGKILLing worker 0 while it holds %d lease(s)\n", w.Active)
+				worker.Process.Kill()
+				worker.Wait()
+				return nil
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// requeues reads the coordinator's count of cells requeued after a
+// broken lease from its /healthz counters.
+func requeues(addr string) (uint64, error) {
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	var h struct {
+		Counters struct {
+			Requeues uint64 `json:"requeues"`
+		} `json:"counters"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		return 0, fmt.Errorf("coordinator healthz: %v", err)
+	}
+	return h.Counters.Requeues, nil
 }
 
 // waitHealthyWorkers polls the coordinator's /healthz until n workers
