@@ -117,6 +117,12 @@ type Cache struct {
 	lastUse []uint64
 	rrpvs   []uint8
 
+	// fill bounds each set's occupied ways: every way at or above
+	// fill[set] is Invalid, so probes, invalid-way searches and sweeps
+	// scan only below it. Insert and a non-Invalid SetState raise it;
+	// freeing a way leaves it, since it is a bound and not a count.
+	fill []int32
+
 	tick  uint64
 	Stats Stats
 
@@ -143,6 +149,7 @@ func NewWithPolicy(geom addr.CacheGeometry, repl Replacement) *Cache {
 		states:  make([]uint8, n),
 		lastUse: make([]uint64, n),
 		rrpvs:   make([]uint8, n),
+		fill:    make([]int32, geom.Sets()),
 	}
 }
 
@@ -166,6 +173,10 @@ func (c *Cache) wayRange(partition int) (int, int) {
 // recency or stats. It returns the way index on a hit.
 func (c *Cache) Probe(set, partition int, tag uint64) (int, bool) {
 	lo, hi := c.wayRange(partition)
+	hi = min(hi, int(c.fill[set]))
+	if hi <= lo {
+		return 0, false
+	}
 	base := set * c.ways
 	tags := c.tags[base+lo : base+hi]
 	states := c.states[base+lo : base+hi]
@@ -215,7 +226,12 @@ func (c *Cache) Touch(set, wayIdx int) {
 func (c *Cache) StateOf(set, wayIdx int) State { return State(c.states[set*c.ways+wayIdx]) }
 
 // SetState updates the state of a valid way; setting Invalid frees it.
-func (c *Cache) SetState(set, wayIdx int, s State) { c.states[set*c.ways+wayIdx] = uint8(s) }
+func (c *Cache) SetState(set, wayIdx int, s State) {
+	c.states[set*c.ways+wayIdx] = uint8(s)
+	if s != Invalid && wayIdx >= int(c.fill[set]) {
+		c.fill[set] = int32(wayIdx + 1)
+	}
+}
 
 // TagOf returns the tag stored in a way (meaningful only if valid).
 func (c *Cache) TagOf(set, wayIdx int) uint64 { return c.tags[set*c.ways+wayIdx] }
@@ -236,13 +252,21 @@ func (c *Cache) Insert(set, partition int, tag uint64, st State) Victim {
 	c.tick++
 	lo, hi := c.wayRange(partition)
 	base := set * c.ways
-	// Prefer an invalid way.
+	// Prefer the lowest invalid way: below the fill mark by search, else
+	// the first way at or above it.
+	fill := int(c.fill[set])
 	victimWay := -1
-	for w := lo; w < hi; w++ {
+	for w := lo; w < min(hi, fill); w++ {
 		if c.states[base+w] == uint8(Invalid) {
 			victimWay = w
 			break
 		}
+	}
+	if victimWay == -1 && max(lo, fill) < hi {
+		victimWay = max(lo, fill)
+	}
+	if victimWay >= fill {
+		c.fill[set] = int32(victimWay + 1)
 	}
 	var victim Victim
 	if victimWay == -1 {
@@ -317,7 +341,7 @@ func (c *Cache) EvictRange(lo, hi addr.PAddr) []Victim {
 	nsets := c.geom.Sets()
 	for set := 0; set < nsets; set++ {
 		base := set * c.ways
-		for w := 0; w < c.ways; w++ {
+		for w := range int(c.fill[set]) {
 			st := State(c.states[base+w])
 			if st == Invalid {
 				continue

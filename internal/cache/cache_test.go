@@ -246,3 +246,75 @@ func TestPartitionConfinement(t *testing.T) {
 		}
 	}
 }
+
+// TestFillMarkBoundsOccupiedWays drives random inserts, state changes,
+// invalidations and sweeps and checks after each one that no valid way
+// sits at or above its set's fill mark, that Insert still takes the
+// lowest invalid way of its scope, and that Probe agrees with a scan of
+// every way. A restored image and a clone must carry equivalent marks.
+func TestFillMarkBoundsOccupiedWays(t *testing.T) {
+	g := addr.MustCacheGeometry(4<<10, 8, 2) // 8 sets
+	c := New(g)
+	rng := rand.New(rand.NewSource(1))
+	scan := func(c *Cache, set, part int, tag uint64) (int, bool) {
+		lo, hi := c.wayRange(part)
+		for w := lo; w < hi; w++ {
+			if c.StateOf(set, w) != Invalid && c.TagOf(set, w) == tag {
+				return w, true
+			}
+		}
+		return 0, false
+	}
+	check := func(c *Cache, step int) {
+		t.Helper()
+		for set := 0; set < g.Sets(); set++ {
+			for w := int(c.fill[set]); w < g.Ways; w++ {
+				if c.StateOf(set, w) != Invalid {
+					t.Fatalf("step %d: set %d way %d valid above fill mark %d", step, set, w, c.fill[set])
+				}
+			}
+			for tag := uint64(0); tag < 6; tag++ {
+				for part := AnyPartition; part < g.Partitions; part++ {
+					w, ok := c.Probe(set, part, tag)
+					rw, rok := scan(c, set, part, tag)
+					if ok != rok || w != rw {
+						t.Fatalf("step %d: Probe(%d,%d,%d) = %d,%v; scan says %d,%v", step, set, part, tag, w, ok, rw, rok)
+					}
+				}
+			}
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		set := rng.Intn(g.Sets())
+		tag := uint64(rng.Intn(6))
+		switch rng.Intn(5) {
+		case 0, 1:
+			part := rng.Intn(g.Partitions+1) - 1
+			lo, hi := c.wayRange(part)
+			want := -1
+			for w := lo; w < hi; w++ {
+				if c.StateOf(set, w) == Invalid {
+					want = w
+					break
+				}
+			}
+			if v := c.Insert(set, part, tag, Exclusive); want >= 0 && v.Way != want {
+				t.Fatalf("step %d: Insert took way %d, lowest invalid is %d", step, v.Way, want)
+			}
+		case 2:
+			c.SetState(set, rng.Intn(g.Ways), State(rng.Intn(5)))
+		case 3:
+			c.Invalidate(set, tag)
+		case 4:
+			lo := addr.PAddr(rng.Intn(64) << 6)
+			c.EvictRange(lo, lo+addr.PAddr(rng.Intn(4096)))
+		}
+		check(c, step)
+	}
+	check(c.Clone(), -1)
+	restored := New(g)
+	if err := restored.SetImage(c.Image()); err != nil {
+		t.Fatal(err)
+	}
+	check(restored, -2)
+}

@@ -13,6 +13,7 @@ func (c *Cache) Clone() *Cache {
 		states:  append([]uint8(nil), c.states...),
 		lastUse: append([]uint64(nil), c.lastUse...),
 		rrpvs:   append([]uint8(nil), c.rrpvs...),
+		fill:    append([]int32(nil), c.fill...),
 		tick:    c.tick,
 		Stats:   c.Stats,
 	}

@@ -52,7 +52,8 @@ func setArray[T uint8 | uint64](dst, src []T) {
 
 // SetImage restores the array in place. The receiver must have the same
 // geometry the image was captured from (a nil array stands for one of
-// zeros); the metrics wiring is untouched.
+// zeros); the metrics wiring is untouched. Each set's fill mark is
+// derived from the restored states.
 func (c *Cache) SetImage(s Image) error {
 	if !fits(s.Tags, c.tags) || !fits(s.States, c.states) ||
 		!fits(s.LastUse, c.lastUse) || !fits(s.RRPVs, c.rrpvs) {
@@ -64,7 +65,19 @@ func (c *Cache) SetImage(s Image) error {
 	setArray(c.rrpvs, s.RRPVs)
 	c.tick = s.Tick
 	c.Stats = s.Stats
+	c.deriveFill()
 	return nil
+}
+
+// deriveFill sets each set's fill mark one past its highest valid way.
+func (c *Cache) deriveFill() {
+	for set := range c.fill {
+		f := c.ways
+		for f > 0 && c.states[set*c.ways+f-1] == uint8(Invalid) {
+			f--
+		}
+		c.fill[set] = int32(f)
+	}
 }
 
 // fits reports whether an image array can restore dst: nil, or exactly

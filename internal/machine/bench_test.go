@@ -87,9 +87,9 @@ func BenchmarkSnapshotMarshal(b *testing.B) {
 	b.ReportMetric(float64(len(data))/1024, "encoded_KB")
 }
 
-// BenchmarkSnapshotUnmarshal decodes a warmed memhog-0.6 rung, Build of
-// the embedded config included: the cost of every resume from the
-// ladder.
+// BenchmarkSnapshotUnmarshal decodes a warmed memhog-0.6 rung: the
+// embedded config's skeleton plus every component's restored state,
+// the cost of every resume from the ladder.
 func BenchmarkSnapshotUnmarshal(b *testing.B) {
 	_, data := memhogRung(b)
 	b.ReportAllocs()
@@ -102,4 +102,33 @@ func BenchmarkSnapshotUnmarshal(b *testing.B) {
 		snapSink = s
 	}
 	b.ReportMetric(float64(len(data))/1024, "encoded_KB")
+}
+
+// BenchmarkLadderResume is one laddered cell of a fragmentation sweep
+// that resumes from the store: decode the memhog-0.6 boundary rung
+// straight into a master, fork the cell from it, and measure 20k
+// references.
+func BenchmarkLadderResume(b *testing.B) {
+	m, cfg := memhogMaster(b)
+	data, err := m.MarshalSnapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		master, err := UnmarshalMachine(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := master.Fork(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Measure(ctx); err != nil {
+			b.Fatal(err)
+		}
+		forkSink = f
+	}
 }

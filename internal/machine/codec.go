@@ -99,11 +99,13 @@ func (s epochState) buf() (epochBuf, error) {
 }
 
 // snapshotState is the complete serialized machine: the config it was
-// built from plus every component's mutable state. Decoding rebuilds
-// the machine with Build (which re-creates all config-derived structure
-// and wiring) and then restores each component in place, so every
-// cross-component pointer — walker to page table, memhog to buddy,
-// recorder into every subsystem — stays valid without rewiring.
+// built from plus every component's mutable state. Decoding builds the
+// config's skeleton (every config-derived structure and all wiring,
+// with memory unfragmented and nothing mapped) and then restores each
+// component in place with its SetState, so every cross-component
+// pointer — walker to page table, memhog to buddy, recorder into every
+// subsystem — stays valid without rewiring. Fragmentation, mappings and
+// generator bindings come from the state; a restore never replays them.
 type snapshotState struct {
 	// Cfg rides the wire as configWire so snapshots written when
 	// CacheKind was an int enum still decode (see configwire.go).
@@ -139,7 +141,7 @@ type snapshotState struct {
 }
 
 // captureState serializes the machine. The receiver must be settled (no
-// in-flight lookahead generation); Snapshot's clone guarantees that.
+// in-flight lookahead generation); MarshalSnapshot settles it.
 func (m *Machine) captureState() (*snapshotState, error) {
 	st := &snapshotState{
 		Cfg:       wireOf(m.cfg),
@@ -196,10 +198,12 @@ func (m *Machine) captureState() (*snapshotState, error) {
 	return st, nil
 }
 
-// applyState restores a captured state onto a machine freshly built
-// from the same config. Every component is mutated in place; any
-// disagreement between the state and the built machine's shape is a
-// corruption error, never a panic.
+// applyState restores a captured state onto the skeleton of the same
+// config. Every component is mutated in place; any disagreement between
+// the state and the skeleton's shape is a corruption error, never a
+// panic. The checks populate's output used to supply are explicit here:
+// the memory size, the memhog's presence, the set of address spaces,
+// and generator regions that name mapped chunks.
 func (m *Machine) applyState(st *snapshotState) error {
 	total := m.cfg.WarmupRefs + m.cfg.Refs
 	if st.GlobalRef < 0 || st.GlobalRef > total {
@@ -208,10 +212,13 @@ func (m *Machine) applyState(st *snapshotState) error {
 	if err := m.rngSrc.SetState(st.RNG); err != nil {
 		return err
 	}
+	if frames := m.cfg.MemBytes / 4096; st.Buddy.TotalFrames != frames {
+		return fmt.Errorf("state covers %d frames, config's memory holds %d", st.Buddy.TotalFrames, frames)
+	}
 	if err := m.buddy.SetState(st.Buddy); err != nil {
 		return err
 	}
-	if (st.Hog != nil) != (m.hog != nil) {
+	if (st.Hog != nil) != (m.cfg.MemhogFraction > 0) {
 		return fmt.Errorf("state and config disagree about a memhog")
 	}
 	if st.Hog != nil {
@@ -219,17 +226,20 @@ func (m *Machine) applyState(st *snapshotState) error {
 			return err
 		}
 	}
+	if err := m.checkASIDs(st.Mgr.Procs); err != nil {
+		return err
+	}
 	if err := m.mgr.SetState(st.Mgr); err != nil {
 		return err
 	}
-	if err := m.gen.SetState(st.Gen); err != nil {
+	if err := bindState(m.gen, st.Gen, m.proc, m.cfg.ICache); err != nil {
 		return err
 	}
 	if len(st.CoGens) != len(m.coGens) {
 		return fmt.Errorf("state has %d co-runner generators, machine has %d", len(st.CoGens), len(m.coGens))
 	}
 	for i, gs := range st.CoGens {
-		if err := m.coGens[i].SetState(gs); err != nil {
+		if err := bindState(m.coGens[i], gs, m.mgr.Process(coASID), false); err != nil {
 			return err
 		}
 	}
@@ -322,13 +332,67 @@ func (m *Machine) applyState(st *snapshotState) error {
 	return nil
 }
 
-// MarshalBinary encodes the snapshot into the versioned binary format:
-// an integrity header (magic, SnapshotSchemaVersion, payload length,
-// CRC32) over an uncompressed gob of the complete machine state, config
-// included. Encoding is deterministic — no map ranges reach the
-// encoder — so equal snapshots produce equal bytes.
+// checkASIDs requires the state's address spaces to be exactly the
+// ones the config runs, in the ascending order State writes them: the
+// main process, then the co-runner iff one is configured.
+func (m *Machine) checkASIDs(procs []osmm.ProcessState) error {
+	want := []uint16{mainASID}
+	if m.cfg.CoRunner != nil {
+		want = append(want, coASID)
+	}
+	if len(procs) != len(want) {
+		return fmt.Errorf("state has %d address spaces, config runs %d", len(procs), len(want))
+	}
+	for i, ps := range procs {
+		if ps.ASID != want[i] {
+			return fmt.Errorf("state's address space %d is ASID %d, config's is ASID %d", i, ps.ASID, want[i])
+		}
+	}
+	return nil
+}
+
+// bindState restores a skeleton's unbound generator: it binds g to the
+// regions s names, each of which must be a mapped chunk of p (the
+// process's state is already restored), and then applies s. code says
+// whether the config models a text region the generator fetches from.
+func bindState(g *workload.Generator, s workload.GeneratorState, p *osmm.Process, code bool) error {
+	if !s.Bound {
+		return fmt.Errorf("generator state is not bound to any regions")
+	}
+	for _, va := range []addr.VAddr{s.HeapBase, s.SmallBase, s.OSBase} {
+		if !p.MapsChunk(va) {
+			return fmt.Errorf("generator region %#x is not a mapped chunk of ASID %d", uint64(va), p.ASID)
+		}
+	}
+	g.Bind(s.HeapBase, s.SmallBase, s.OSBase)
+	if s.CodeBound != code {
+		return fmt.Errorf("generator state and config disagree about a text region")
+	}
+	if code {
+		if !p.MapsChunk(s.CodeBase) {
+			return fmt.Errorf("text region %#x is not a mapped chunk of ASID %d", uint64(s.CodeBase), p.ASID)
+		}
+		g.BindCode(s.CodeBase)
+	}
+	return g.SetState(s)
+}
+
+// MarshalBinary encodes the snapshot into the versioned binary format;
+// see Machine.MarshalSnapshot.
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
-	st, err := s.m.captureState()
+	return s.m.MarshalSnapshot()
+}
+
+// MarshalSnapshot settles m (joins any in-flight lookahead generation)
+// and encodes its current state into the versioned binary format: an
+// integrity header (magic, SnapshotSchemaVersion, payload length,
+// CRC32) over an uncompressed gob of the complete machine state, config
+// included. The bytes equal those of m.Snapshot().MarshalBinary()
+// without the deep copy. Encoding is deterministic — no map ranges
+// reach the encoder — so equal states produce equal bytes.
+func (m *Machine) MarshalSnapshot() ([]byte, error) {
+	m.settle()
+	st, err := m.captureState()
 	if err != nil {
 		return nil, err
 	}
@@ -366,35 +430,46 @@ func PeekSnapshotVersion(data []byte) (int, error) {
 	return int(binary.BigEndian.Uint16(data[8:10])), nil
 }
 
-// UnmarshalBinary decodes data into s: the header is verified (magic,
-// schema version, length, checksum), the state payload decoded (raw gob
-// for version 2, flate-compressed gob for version 1), a fresh
-// machine built from the embedded config, and every component restored
-// in place. All failures return typed errors (ErrSnapshotTruncated,
-// ErrSnapshotSchema, ErrSnapshotCorrupt); hostile input never panics
-// and never yields a machine that would silently mis-resume.
-func (s *Snapshot) UnmarshalBinary(data []byte) (err error) {
-	v, err := PeekSnapshotVersion(data)
+// UnmarshalBinary decodes data into s; see UnmarshalMachine.
+func (s *Snapshot) UnmarshalBinary(data []byte) error {
+	m, err := UnmarshalMachine(data)
 	if err != nil {
 		return err
 	}
+	s.m = m
+	return nil
+}
+
+// UnmarshalMachine decodes an encoded snapshot straight into a runnable
+// machine: the header is verified (magic, schema version, length,
+// checksum), the state payload decoded (raw gob for version 2,
+// flate-compressed gob for version 1), the embedded config's skeleton
+// built, and every component restored in place. All failures return
+// typed errors (ErrSnapshotTruncated, ErrSnapshotSchema,
+// ErrSnapshotCorrupt); hostile input never panics and never yields a
+// machine that would silently mis-resume.
+func UnmarshalMachine(data []byte) (m *Machine, err error) {
+	v, err := PeekSnapshotVersion(data)
+	if err != nil {
+		return nil, err
+	}
 	if v != SnapshotSchemaVersion && v != snapSchemaV1 {
-		return fmt.Errorf("%w: snapshot v%d, binary v%d", ErrSnapshotSchema, v, SnapshotSchemaVersion)
+		return nil, fmt.Errorf("%w: snapshot v%d, binary v%d", ErrSnapshotSchema, v, SnapshotSchemaVersion)
 	}
 	plen := binary.BigEndian.Uint64(data[10:18])
 	if uint64(len(data)-snapHeaderLen) < plen {
-		return ErrSnapshotTruncated
+		return nil, ErrSnapshotTruncated
 	}
 	payload := data[snapHeaderLen : snapHeaderLen+int(plen)]
 	if crc32Of(payload) != binary.BigEndian.Uint32(data[18:22]) {
-		return fmt.Errorf("%w: checksum mismatch", ErrSnapshotCorrupt)
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrSnapshotCorrupt)
 	}
 	// gob and flate are not guaranteed panic-free on adversarial input;
 	// the battery fuzzes this path, so convert panics into the typed
 	// corruption error instead of crashing the decoder's process.
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: decode panic: %v", ErrSnapshotCorrupt, r)
+			m, err = nil, fmt.Errorf("%w: decode panic: %v", ErrSnapshotCorrupt, r)
 		}
 	}()
 	var r io.Reader = bytes.NewReader(payload)
@@ -403,25 +478,24 @@ func (s *Snapshot) UnmarshalBinary(data []byte) (err error) {
 	}
 	var st snapshotState
 	if derr := gob.NewDecoder(r).Decode(&st); derr != nil {
-		return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, derr)
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, derr)
 	}
 	cfg, cerr := st.Cfg.config()
 	if cerr != nil {
-		return fmt.Errorf("%w: embedded config: %v", ErrSnapshotCorrupt, cerr)
+		return nil, fmt.Errorf("%w: embedded config: %v", ErrSnapshotCorrupt, cerr)
 	}
-	m, berr := Build(cfg)
-	if berr != nil {
-		return fmt.Errorf("%w: embedded config: %v", ErrSnapshotCorrupt, berr)
+	m, serr := skeleton(cfg)
+	if serr != nil {
+		return nil, fmt.Errorf("%w: embedded config: %v", ErrSnapshotCorrupt, serr)
 	}
 	if aerr := m.applyState(&st); aerr != nil {
-		return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, aerr)
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, aerr)
 	}
-	s.m = m
-	return nil
+	return m, nil
 }
 
-// UnmarshalSnapshot decodes an encoded snapshot. See
-// Snapshot.UnmarshalBinary for the error contract.
+// UnmarshalSnapshot decodes an encoded snapshot. See UnmarshalMachine
+// for the error contract.
 func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 	s := &Snapshot{}
 	if err := s.UnmarshalBinary(data); err != nil {

@@ -254,24 +254,74 @@ func TestCodecRejectsCorruptPhysmem(t *testing.T) {
 		{"duplicate hog frame", func(st *snapshotState) { st.Hog.Frames[1] = st.Hog.Frames[0] }},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			st, err := snap.m.captureState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.corrupt(st)
-			data, err := encodeState(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = UnmarshalSnapshot(data)
-			if !errors.Is(err, ErrSnapshotCorrupt) {
-				t.Fatalf("got err %v, want %v", err, ErrSnapshotCorrupt)
-			}
-			if strings.Contains(err.Error(), "panic") {
-				t.Errorf("rejected only by a recovered panic: %v", err)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { rejectsState(t, snap, tc.corrupt) })
+	}
+
+	// A restore builds only the config's skeleton, so what Build's
+	// populate step used to guarantee is checked explicitly: memory
+	// size, memhog presence, the set of address spaces, and generator
+	// regions that name mapped chunks of their process. The co-runner
+	// and text-region cases need a config that has them.
+	cfg := testConfig(t, KindBaseline)
+	co, err := workload.ByName("astar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CoRunner, cfg.ICache = &co, true
+	full, err := warmMaster(t, cfg).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := []struct {
+		name    string
+		from    *Snapshot
+		corrupt func(st *snapshotState)
+	}{
+		{"config memory larger than the state's", snap, func(st *snapshotState) { st.Cfg.MemBytes *= 2 }},
+		{"buddy sized for other memory", snap, func(st *snapshotState) { st.Buddy.TotalFrames /= 2 }},
+		{"memhog state missing", snap, func(st *snapshotState) { st.Hog = nil }},
+		{"memhog state without a memhog", snap, func(st *snapshotState) { st.Cfg.MemhogFraction = 0 }},
+		{"no address spaces", snap, func(st *snapshotState) { st.Mgr.Procs = nil }},
+		{"co-runner address space without a co-runner", snap, func(st *snapshotState) {
+			co := st.Mgr.Procs[0]
+			co.ASID = coASID
+			st.Mgr.Procs = append(st.Mgr.Procs, co)
+		}},
+		{"unknown ASID", snap, func(st *snapshotState) { st.Mgr.Procs[0].ASID = 7 }},
+		{"unbound generator", snap, func(st *snapshotState) { st.Gen.Bound = false }},
+		{"heap base not a chunk", snap, func(st *snapshotState) { st.Gen.HeapBase += 4096 }},
+		{"OS base unmapped", snap, func(st *snapshotState) { st.Gen.OSBase = 0 }},
+		{"text region without an I-cache", snap, func(st *snapshotState) { st.Gen.CodeBound = true }},
+		{"co-runner address space missing", full, func(st *snapshotState) { st.Mgr.Procs = st.Mgr.Procs[:1] }},
+		{"co-runner region not a chunk", full, func(st *snapshotState) { st.CoGens[1].SmallBase += 4096 }},
+		{"text base not a chunk", full, func(st *snapshotState) { st.Gen.CodeBase += 4096 }},
+		{"I-cache without a text region", full, func(st *snapshotState) { st.Gen.CodeBound = false }},
+	}
+	for _, tc := range restore {
+		t.Run(tc.name, func(t *testing.T) { rejectsState(t, tc.from, tc.corrupt) })
+	}
+}
+
+// rejectsState encodes snap's state damaged by corrupt and requires the
+// decoder to reject it as corrupt through validation, not through a
+// recovered panic.
+func rejectsState(t *testing.T, snap *Snapshot, corrupt func(st *snapshotState)) {
+	t.Helper()
+	st, err := snap.m.captureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt(st)
+	data, err := encodeState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = UnmarshalSnapshot(data)
+	if !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("got err %v, want %v", err, ErrSnapshotCorrupt)
+	}
+	if strings.Contains(err.Error(), "panic") {
+		t.Errorf("rejected only by a recovered panic: %v", err)
 	}
 }
 
@@ -332,21 +382,23 @@ func TestWarmupTo(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotCodec throws arbitrary and systematically damaged bytes
-// at the decoder: it must never panic, must return one of the typed
-// errors on anything it rejects, and anything it accepts must actually
-// run. Seeded with genuine encoded snapshots so mutations explore the
-// interesting region around valid input: a warmup-boundary snapshot
-// (cold caches, so every cache array is omitted), one taken mid-way
-// through the measured phase (warm caches, arrays present), and the
-// version-1 fixtures, so the flate decode path is fuzzed too.
-func FuzzSnapshotCodec(f *testing.F) {
-	p, err := workload.ByName("redis")
-	if err != nil {
-		f.Fatal(err)
+// codecSeeds returns genuine version-2 encodings: a warmup-boundary
+// snapshot (cold caches, so every cache array is omitted), one taken
+// mid-way through the measured phase (warm caches, arrays present), and
+// warmup-boundary snapshots of a co-runner config, a 1GB-heap config
+// and an I-cache config, whose restores bind a second address space,
+// map 1GB chunks and bind a text region.
+func codecSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	profile := func(name string) workload.Profile {
+		p, err := workload.ByName(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return p
 	}
-	cfg := Config{
-		Workload:   p,
+	base := Config{
+		Workload:   profile("redis"),
 		Seed:       7,
 		Refs:       400,
 		WarmupRefs: 300,
@@ -356,50 +408,101 @@ func FuzzSnapshotCodec(f *testing.F) {
 		CPUKind:    "inorder",
 		MemBytes:   512 << 20,
 	}
-	if err := cfg.Validate(); err != nil {
-		f.Fatal(err)
+	warm := func(cfg Config) *Machine {
+		if err := cfg.Validate(); err != nil {
+			tb.Fatal(err)
+		}
+		m, err := Build(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := m.Warmup(context.Background()); err != nil {
+			tb.Fatal(err)
+		}
+		return m
 	}
-	m, err := Build(cfg)
-	if err != nil {
-		f.Fatal(err)
+	encode := func(m *Machine) []byte {
+		data, err := m.MarshalSnapshot()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return data
 	}
-	if err := m.Warmup(context.Background()); err != nil {
-		f.Fatal(err)
+
+	m := warm(base)
+	if cold, err := m.captureState(); err != nil || cold.Coh.LLC.States != nil || cold.L1s[0].Cache.States != nil {
+		tb.Fatalf("the warmup-boundary seed has warm caches (%v)", err)
 	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		f.Fatal(err)
+	seeds := [][]byte{encode(m)}
+	if err := m.stepBatch(150, base.WarmupRefs, base.WarmupRefs+base.Refs); err != nil {
+		tb.Fatal(err)
 	}
-	valid, err := snap.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
+	seeds = append(seeds, encode(m))
+	if mid, err := m.captureState(); err != nil || mid.Coh.LLC.States == nil || mid.L1s[0].Cache.States == nil {
+		tb.Fatalf("the measured-phase seed carries no warm cache image (%v)", err)
 	}
-	if cold, err := snap.m.captureState(); err != nil || cold.Coh.LLC.States != nil || cold.L1s[0].Cache.States != nil {
-		f.Fatalf("the warmup-boundary seed has warm caches (%v)", err)
+
+	co := base
+	corunner := profile("astar")
+	co.CoRunner = &corunner
+	huge := base
+	huge.Heap1G, huge.MemBytes = true, 2<<30
+	text := base
+	text.ICache = true
+	for _, cfg := range []Config{co, huge, text} {
+		m := warm(cfg)
+		st, err := m.captureState()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if (len(st.Mgr.Procs) == 2) != (cfg.CoRunner != nil) ||
+			cfg.Heap1G != (len(st.Mgr.Procs[0].Chunks1G) > 0) || cfg.ICache != st.Gen.CodeBound {
+			tb.Fatalf("seed state lacks what its config asks for: %d address spaces, %d 1GB chunks, text bound %v",
+				len(st.Mgr.Procs), len(st.Mgr.Procs[0].Chunks1G), st.Gen.CodeBound)
+		}
+		seeds = append(seeds, encode(m))
 	}
-	f.Add(valid)
+	return seeds
+}
+
+// TestCodecReencodeIdentity: decoding a genuine version-2 snapshot and
+// encoding the result reproduces the input byte for byte, for every
+// seed the fuzzer starts from. A restore that dropped or rebuilt state
+// differently from what was captured would change the bytes.
+func TestCodecReencodeIdentity(t *testing.T) {
+	for i, data := range codecSeeds(t) {
+		m, err := UnmarshalMachine(data)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		again, err := m.MarshalSnapshot()
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Errorf("seed %d: re-encoding its decode changes the bytes", i)
+		}
+	}
+}
+
+// FuzzSnapshotCodec throws arbitrary and systematically damaged bytes
+// at the decoder: it must never panic, must return one of the typed
+// errors on anything it rejects, and anything it accepts must actually
+// run. Seeded with genuine encoded snapshots (codecSeeds) so mutations
+// explore the interesting region around valid input, and with the
+// version-1 fixtures, so the flate decode path is fuzzed too.
+func FuzzSnapshotCodec(f *testing.F) {
+	seeds := codecSeeds(f)
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	valid := seeds[0]
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte{})
 	f.Add(snapMagic[:])
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)/3] ^= 0x80
 	f.Add(corrupt)
-
-	if err := m.stepBatch(150, cfg.WarmupRefs, cfg.WarmupRefs+cfg.Refs); err != nil {
-		f.Fatal(err)
-	}
-	mid, err := m.captureState()
-	if err != nil {
-		f.Fatal(err)
-	}
-	if mid.Coh.LLC.States == nil || mid.L1s[0].Cache.States == nil {
-		f.Fatal("the measured-phase seed carries no warm cache image")
-	}
-	warm, err := encodeState(mid)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(warm)
 	for _, kind := range []CacheKind{KindSeesaw, KindBaseline, KindPIPT} {
 		v1, err := os.ReadFile(filepath.Join("testdata", "legacy", "snapshot_"+kind.String()+".bin"))
 		if err != nil {

@@ -145,15 +145,16 @@ const cancelCheckMask = 1<<12 - 1
 // (caches, TLBs, TFTs, coherence, CPUs), plus the Hooks the config asks
 // for. The machine is positioned at reference 0; run it with Warmup
 // then Measure, or drive it manually with Step.
+//
+// Build is skeleton followed by populate. A snapshot restore runs the
+// skeleton alone and takes what populate would produce from the
+// snapshot's state (codec.go).
 func Build(cfg Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
+	m, err := skeleton(cfg)
+	if err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg.withDefaults()}
-	if err := m.buildOS(); err != nil {
-		return nil, err
-	}
-	if err := m.buildUarch(); err != nil {
+	if err := m.populate(); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -162,96 +163,49 @@ func Build(cfg Config) (*Machine, error) {
 // Config returns the machine's configuration with defaults applied.
 func (m *Machine) Config() Config { return m.cfg }
 
-// buildOS constructs everything the warmup phase touches: physical
-// memory and its fragmentation, the OS memory manager, the measured
-// process and its mapped regions, the workload generators, and the
-// co-runner's address space. Only this state (plus the RNG position)
-// distinguishes a warmed machine from a cold one.
-func (m *Machine) buildOS() error {
-	cfg := m.cfg
+// skeleton validates cfg and constructs everything the config alone
+// determines: the OS RNG, physical memory with every frame free, an
+// empty memhog, the memory manager with one empty address space per
+// ASID, unbound workload generators, the thread schedule, and the whole
+// microarchitecture (buildUarch). Nothing in it draws from the OS RNG.
+func skeleton(cfg Config) (*Machine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	m := &Machine{cfg: cfg.withDefaults()}
+	cfg = m.cfg
 	m.rng, m.rngSrc = xrand.New(cfg.Seed)
-
-	// Physical memory, fragmentation, OS.
 	buddy, err := physmem.New(cfg.MemBytes)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m.buddy = buddy
 	m.mgr = osmm.NewManager(buddy, m.rng, !cfg.THPOff)
 	if cfg.MemhogFraction > 0 {
-		hog, err := physmem.Run(buddy, m.rng, cfg.MemhogFraction, 0.97)
-		if err != nil {
-			return err
-		}
 		// memhog's pages are movable anonymous memory: the OS can
 		// migrate them when compacting for superpage allocations.
-		m.hog = hog
-		m.mgr.Compactor = hog
+		m.hog = physmem.NewMemhog(buddy, m.rng)
+		m.mgr.Compactor = m.hog
 	}
-	proc, err := m.mgr.NewProcess(mainASID)
-	if err != nil {
-		return err
+	if m.proc, err = m.mgr.NewProcess(mainASID); err != nil {
+		return nil, err
 	}
-	m.proc = proc
-
-	// Workload regions.
 	m.gen = workload.NewGenerator(cfg.Workload, cfg.Seed)
-	var heapBase addr.VAddr
-	if cfg.Heap1G {
-		heapBase, err = m.mgr.Mmap1G(proc, m.gen.HeapBytes())
-	} else {
-		heapBase, err = m.mgr.MmapHuge(proc, m.gen.HeapBytes(), true)
-	}
-	if err != nil {
-		return fmt.Errorf("sim: mapping heap: %w", err)
-	}
-	smallBase, err := m.mgr.MmapHuge(proc, m.gen.SmallBytes(), false)
-	if err != nil {
-		return fmt.Errorf("sim: mapping small region: %w", err)
-	}
-	osBase, err := m.mgr.MmapHuge(proc, m.gen.OSBytes(), false)
-	if err != nil {
-		return fmt.Errorf("sim: mapping OS region: %w", err)
-	}
-	m.gen.Bind(heapBase, smallBase, osBase)
-	if cfg.ICache {
-		codeBase, err := m.mgr.MmapHuge(proc, m.gen.CodeBytes(), cfg.TextHuge)
-		if err != nil {
-			return fmt.Errorf("sim: mapping text: %w", err)
-		}
-		m.gen.BindCode(codeBase)
-	}
 
 	// Per-core structures: application threads + the system thread.
 	m.nCores = m.gen.Threads() + 1
 
 	// Optional co-runner process (ASID 2): its own address space, its
-	// own per-core generators for the timeslices it steals.
+	// own per-core generators for the timeslices it steals. All cores
+	// replay the co-runner's thread-0 stream, each from an independent
+	// deterministic generator.
 	if cfg.CoRunner != nil {
-		proc2, err := m.mgr.NewProcess(coASID)
-		if err != nil {
-			return err
+		if _, err := m.mgr.NewProcess(coASID); err != nil {
+			return nil, err
 		}
-		// All cores replay the co-runner's thread-0 stream, each from an
-		// independent deterministic generator.
 		m.coGens = make([]*workload.Generator, m.nCores)
-		cg := workload.NewGenerator(*cfg.CoRunner, cfg.Seed+1000)
-		heap2, err := m.mgr.MmapHuge(proc2, cg.HeapBytes(), true)
-		if err != nil {
-			return fmt.Errorf("sim: mapping co-runner heap: %w", err)
-		}
-		small2, err := m.mgr.MmapHuge(proc2, cg.SmallBytes(), false)
-		if err != nil {
-			return fmt.Errorf("sim: mapping co-runner small region: %w", err)
-		}
-		os2, err := m.mgr.MmapHuge(proc2, cg.OSBytes(), false)
-		if err != nil {
-			return fmt.Errorf("sim: mapping co-runner OS region: %w", err)
-		}
-		for c := 0; c < m.nCores; c++ {
-			g2 := workload.NewGenerator(*cfg.CoRunner, cfg.Seed+1000+int64(c))
-			g2.Bind(heap2, small2, os2)
-			m.coGens[c] = g2
+		for c := range m.coGens {
+			m.coGens[c] = workload.NewGenerator(*cfg.CoRunner, cfg.Seed+1000+int64(c))
 		}
 	}
 
@@ -264,7 +218,69 @@ func (m *Machine) buildOS() error {
 		}
 	}
 	m.schedule = append(m.schedule, m.gen.SystemTID())
+
+	if err := m.buildUarch(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// populate does what only a cold machine needs on top of its skeleton:
+// memhog fragments physical memory, then the workload regions are
+// mapped (the main process's, then the co-runner's) and the generators
+// bound to them. Only this state (plus the RNG position) distinguishes
+// a warmed machine from a cold one, and a snapshot carries all of it.
+func (m *Machine) populate() error {
+	cfg := m.cfg
+	if m.hog != nil {
+		if err := m.hog.Fragment(cfg.MemhogFraction, 0.97); err != nil {
+			return err
+		}
+	}
+	heapBase, smallBase, osBase, err := m.mapData(m.proc, m.gen, cfg.Heap1G, "")
+	if err != nil {
+		return err
+	}
+	m.gen.Bind(heapBase, smallBase, osBase)
+	if cfg.ICache {
+		codeBase, err := m.mgr.MmapHuge(m.proc, m.gen.CodeBytes(), cfg.TextHuge)
+		if err != nil {
+			return fmt.Errorf("sim: mapping text: %w", err)
+		}
+		m.gen.BindCode(codeBase)
+	}
+	if cfg.CoRunner != nil {
+		heap2, small2, os2, err := m.mapData(m.mgr.Process(coASID), m.coGens[0], false, "co-runner ")
+		if err != nil {
+			return err
+		}
+		for _, g := range m.coGens {
+			g.Bind(heap2, small2, os2)
+		}
+	}
 	return nil
+}
+
+// mapData maps g's heap, small and OS regions into p, in that order,
+// and returns their bases. The heap takes explicit 1GB pages when
+// heap1G is set and is otherwise superpage-eligible; the other two
+// never are. who names the process in errors.
+func (m *Machine) mapData(p *osmm.Process, g *workload.Generator, heap1G bool, who string) (heapBase, smallBase, osBase addr.VAddr, err error) {
+	if heap1G {
+		heapBase, err = m.mgr.Mmap1G(p, g.HeapBytes())
+	} else {
+		heapBase, err = m.mgr.MmapHuge(p, g.HeapBytes(), true)
+	}
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("sim: mapping %sheap: %w", who, err)
+	}
+	if smallBase, err = m.mgr.MmapHuge(p, g.SmallBytes(), false); err != nil {
+		return 0, 0, 0, fmt.Errorf("sim: mapping %ssmall region: %w", who, err)
+	}
+	if osBase, err = m.mgr.MmapHuge(p, g.OSBytes(), false); err != nil {
+		return 0, 0, 0, fmt.Errorf("sim: mapping %sOS region: %w", who, err)
+	}
+	return heapBase, smallBase, osBase, nil
 }
 
 // buildUarch constructs everything the measured phase touches — caches,

@@ -475,3 +475,15 @@ func (p *Process) ChunkIsSuper(va addr.VAddr) bool {
 	c, ok := p.chunks[va.PageBase(addr.Page2M)]
 	return ok && c.super
 }
+
+// MapsChunk reports whether va is the base of a mapped chunk: a 2MB
+// chunk or an explicit 1GB mapping. Every region base a mmap returns is
+// one, which is how a snapshot restore checks the region bases its
+// generators are bound to.
+func (p *Process) MapsChunk(va addr.VAddr) bool {
+	if _, ok := p.chunks1G[va]; ok {
+		return true
+	}
+	_, ok := p.chunks[va]
+	return ok
+}

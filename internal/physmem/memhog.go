@@ -50,17 +50,35 @@ func (h *Memhog) unpin(f uint64) {
 	h.pinned[f] = 0
 }
 
-// Run fragments memory, pinning `fraction` of it. touch is the total
-// fraction of memory transiently allocated (>= fraction; capped at 0.97);
-// the excess is freed at scattered positions. On a long-uptime loaded
-// system essentially all memory has been touched, so callers typically
-// pass touch close to 1. The rng makes runs deterministic.
+// NewMemhog returns a hog over b that pins nothing yet; rng drives
+// Fragment's scatter. Run fragments memory into one, and a snapshot
+// restore fills one with SetState instead.
+func NewMemhog(b *Buddy, rng *rand.Rand) *Memhog {
+	return &Memhog{buddy: b, rng: rng, pinned: make([]int32, b.totalFrames)}
+}
+
+// Run fragments memory, pinning `fraction` of it: it is NewMemhog
+// followed by Fragment.
 func Run(b *Buddy, rng *rand.Rand, fraction, touch float64) (*Memhog, error) {
+	h := NewMemhog(b, rng)
+	if err := h.Fragment(fraction, touch); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// Fragment pins `fraction` of memory into a hog that pins nothing yet.
+// touch is the total fraction of memory transiently allocated (>=
+// fraction; capped at 0.97); the excess is freed at scattered positions.
+// On a long-uptime loaded system essentially all memory has been
+// touched, so callers typically pass touch close to 1. The hog's rng
+// makes runs deterministic.
+func (h *Memhog) Fragment(fraction, touch float64) error {
 	if fraction < 0 || fraction > 0.95 {
-		return nil, fmt.Errorf("physmem: memhog fraction %.2f outside [0,0.95]", fraction)
+		return fmt.Errorf("physmem: memhog fraction %.2f outside [0,0.95]", fraction)
 	}
 	if touch < 0 || touch > 1 {
-		return nil, fmt.Errorf("physmem: memhog touch %.2f outside [0,1]", touch)
+		return fmt.Errorf("physmem: memhog touch %.2f outside [0,1]", touch)
 	}
 	if touch < fraction {
 		touch = fraction
@@ -68,8 +86,8 @@ func Run(b *Buddy, rng *rand.Rand, fraction, touch float64) (*Memhog, error) {
 	if touch > 0.97 {
 		touch = 0.97
 	}
+	b := h.buddy
 	totalFrames := b.totalFrames
-	h := &Memhog{buddy: b, rng: rng, pinned: make([]int32, totalFrames)}
 	pinTarget := uint64(float64(totalFrames) * fraction)
 	allocTarget := uint64(float64(totalFrames) * touch)
 	frames := make([]uint64, 0, allocTarget)
@@ -81,21 +99,21 @@ func Run(b *Buddy, rng *rand.Rand, fraction, touch float64) (*Memhog, error) {
 		frames = append(frames, f)
 	}
 	// Free the excess at scattered positions; keep pinTarget pinned.
-	rng.Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
+	h.rng.Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
 	keep := pinTarget
 	if keep > uint64(len(frames)) {
 		keep = uint64(len(frames))
 	}
 	for _, f := range frames[keep:] {
 		if err := b.FreeOrder(f, Order4K); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	h.frames = frames[:keep]
 	for i, f := range h.frames {
 		h.pinned[f] = int32(i + 1)
 	}
-	return h, nil
+	return nil
 }
 
 // PinnedBytes returns how much memory the hog still holds.

@@ -127,7 +127,7 @@ func climb(ctx context.Context, cfg sim.Config, snaps SnapshotStore, rungEvery i
 	if snaps != nil {
 		prefix := cfg.PrefixHash()
 		if data, refs, ok := snaps.DeepestSnapshot(prefix, cfg.WarmupRefs); ok {
-			snap, err := machine.UnmarshalSnapshot(data)
+			dec, err := machine.UnmarshalMachine(data)
 			switch {
 			case err != nil:
 				// A rung that does not decode (bit rot, tampering) is
@@ -135,14 +135,16 @@ func climb(ctx context.Context, cfg sim.Config, snaps SnapshotStore, rungEvery i
 				// fail on a bad cache entry.
 				snaps.DropSnapshot(prefix, refs)
 				stats.count(func(c *LadderCounters) { c.RungDrops++ })
-			case snap.Signature() != cfg.WarmupSignature() || snap.Ref() != refs:
+			case dec.Config().WarmupSignature() != cfg.WarmupSignature() || dec.Ref() != refs:
 				// The rung decodes but is not what its key claims — a
 				// prefix-hash collision or a mislabeled entry. Treat as
 				// unusable.
 				snaps.DropSnapshot(prefix, refs)
 				stats.count(func(c *LadderCounters) { c.RungDrops++ })
 			default:
-				m = snap.Resume()
+				// The decoded machine is this ladder's own: it becomes
+				// the master directly, with no copy.
+				m = dec
 				resumedAt = refs
 				stats.count(func(c *LadderCounters) {
 					c.RungHits++
@@ -164,11 +166,7 @@ func climb(ctx context.Context, cfg sim.Config, snaps SnapshotStore, rungEvery i
 		if snaps == nil {
 			return
 		}
-		snap, err := m.Snapshot()
-		if err != nil {
-			return
-		}
-		data, err := snap.MarshalBinary()
+		data, err := m.MarshalSnapshot()
 		if err != nil {
 			return
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"seesaw/internal/machine"
 	"seesaw/internal/sim"
 	"seesaw/internal/store"
 )
@@ -146,6 +147,75 @@ func (c *cancelAfterPut) PutSnapshot(prefix string, refs int, data []byte) error
 		}
 	}
 	return err
+}
+
+// recordPuts wraps a SnapshotStore and keeps every rung persisted
+// through it, keyed by depth.
+type recordPuts struct {
+	SnapshotStore
+	mu    sync.Mutex
+	rungs map[int][]byte
+}
+
+func (r *recordPuts) PutSnapshot(prefix string, refs int, data []byte) error {
+	r.mu.Lock()
+	r.rungs[refs] = append([]byte(nil), data...)
+	r.mu.Unlock()
+	return r.SnapshotStore.PutSnapshot(prefix, refs, data)
+}
+
+// TestLadderRungsMatchSnapshot: a ladder encodes its live master
+// without deep-copying it first, and the rungs it writes are
+// byte-identical to the encoding of a Snapshot taken at the same
+// reference — on a cold climb, and on a climb that resumed from a
+// stored rung and kept warming the decoded machine itself.
+func TestLadderRungsMatchSnapshot(t *testing.T) {
+	ctx := context.Background()
+	cfg := ladderConfig(t, sim.KindSeesaw, 45)
+	cfg.MemhogFraction = 0.4
+	m, err := machine.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depths := []int{6_000, 12_000, 18_000, cfg.WarmupRefs}
+	want := make(map[int][]byte)
+	for _, d := range depths {
+		if err := m.WarmupTo(ctx, d); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[d], err = snap.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The first ladder is cut after two rungs; the second resumes from
+	// the 12k rung and writes the rest.
+	rec := &recordPuts{SnapshotStore: openLadderStore(t), rungs: make(map[int][]byte)}
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	cut, _ := LadderRun(&cancelAfterPut{SnapshotStore: rec, n: 2, then: cancel}, 6_000)
+	if _, err := cut(cctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cut ladder returned %v, want context.Canceled", err)
+	}
+	resumed, rs := LadderRun(rec, 6_000)
+	runCell(t, resumed, cfg)
+	if c := rs.Counters(); c.RungHits != 1 || c.ResumedRefs != 12_000 {
+		t.Errorf("resumed ladder counters = %+v, want a resume at 12000", c)
+	}
+	for _, d := range depths {
+		got, ok := rec.rungs[d]
+		if !ok {
+			t.Errorf("no rung persisted at %d", d)
+			continue
+		}
+		if !bytes.Equal(got, want[d]) {
+			t.Errorf("rung at %d differs from the snapshot encoding at that reference", d)
+		}
+	}
 }
 
 // TestLadderDropsBadRung: a corrupt stored rung is dropped and the
