@@ -43,10 +43,6 @@ type Design struct {
 	// Speculates marks designs with a fast/slow latency split the
 	// scheduler may speculate on (the paper's counter heuristic).
 	Speculates bool
-	// FastPath marks designs with a devirtualized concrete dispatch
-	// path in the machine's hot loop; others run through the clean
-	// L1Cache interface fallback.
-	FastPath bool
 
 	// AreaBytes is the design's extra SRAM beyond the storage array
 	// (e.g. SEESAW's TFT), for the evolve area objective; nil = none.

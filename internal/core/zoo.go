@@ -31,7 +31,6 @@ func init() {
 			}
 			return v, nil
 		},
-		FastPath: true,
 		State: func(l L1Cache, st *L1State) {
 			if v := l.(*BaselineVIPT); v.wp != nil {
 				ws := v.wp.State()
@@ -59,7 +58,6 @@ func init() {
 		Validate:   partitionRules,
 		UsesTFT:    true,
 		Speculates: true,
-		FastPath:   true,
 		AreaBytes: func(c Config) uint64 {
 			return uint64(tft.New(c.TFT).SizeBytes())
 		},
@@ -96,7 +94,6 @@ func init() {
 			}
 			return p, nil
 		},
-		FastPath:       true,
 		ChaosSerialTLB: 2,
 		ChaosSmallTLB:  true,
 		ChaosL1Ways:    4,

@@ -136,12 +136,14 @@ type snapshotState struct {
 	Checker   *check.State
 	LastWidth []int
 
+	// BatchCur is the current epoch's unconsumed records. BatchNext is
+	// always written empty; snapshots from before epoch generation became
+	// serial may carry a lookahead epoch there, which continues BatchCur.
 	BatchCur  epochState
 	BatchNext epochState
 }
 
-// captureState serializes the machine. The receiver must be settled (no
-// in-flight lookahead generation); MarshalSnapshot settles it.
+// captureState serializes the machine.
 func (m *Machine) captureState() (*snapshotState, error) {
 	st := &snapshotState{
 		Cfg:       wireOf(m.cfg),
@@ -157,7 +159,6 @@ func (m *Machine) captureState() (*snapshotState, error) {
 		Acct:      *m.acct,
 		LastWidth: append([]int(nil), m.lastWidth...),
 		BatchCur:  epochStateOf(m.batch.cur),
-		BatchNext: epochStateOf(m.batch.next),
 	}
 	if m.hog != nil {
 		hs := m.hog.State()
@@ -319,10 +320,15 @@ func (m *Machine) applyState(st *snapshotState) error {
 	if len(cur.recs) > 0 && cur.start != st.GlobalRef {
 		return fmt.Errorf("pre-generated records start at %d, cursor is at %d", cur.start, st.GlobalRef)
 	}
-	if len(next.recs) > 0 && next.start != cur.start+len(cur.recs) {
-		return fmt.Errorf("lookahead epoch out of order")
+	if len(next.recs) > 0 {
+		if len(cur.recs) == 0 || next.start != cur.start+len(cur.recs) {
+			return fmt.Errorf("lookahead epoch out of order")
+		}
+		cur.recs = append(cur.recs, next.recs...)
+		cur.ivas = append(cur.ivas, next.ivas...)
+		cur.jumps = append(cur.jumps, next.jumps...)
 	}
-	m.batch.cur, m.batch.next = cur, next
+	m.batch.cur = cur
 
 	m.globalRef = st.GlobalRef
 	m.curRef = st.CurRef
@@ -383,15 +389,14 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	return s.m.MarshalSnapshot()
 }
 
-// MarshalSnapshot settles m (joins any in-flight lookahead generation)
-// and encodes its current state into the versioned binary format: an
-// integrity header (magic, SnapshotSchemaVersion, payload length,
-// CRC32) over an uncompressed gob of the complete machine state, config
-// included. The bytes equal those of m.Snapshot().MarshalBinary()
-// without the deep copy. Encoding is deterministic — no map ranges
-// reach the encoder — so equal states produce equal bytes.
+// MarshalSnapshot encodes m's current state into the versioned binary
+// format: an integrity header (magic, SnapshotSchemaVersion, payload
+// length, CRC32) over an uncompressed gob of the complete machine
+// state, config included. The bytes equal those of
+// m.Snapshot().MarshalBinary() without the deep copy. Encoding is
+// deterministic — no map ranges reach the encoder — so equal states
+// produce equal bytes.
 func (m *Machine) MarshalSnapshot() ([]byte, error) {
-	m.settle()
 	st, err := m.captureState()
 	if err != nil {
 		return nil, err

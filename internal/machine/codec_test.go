@@ -485,6 +485,62 @@ func TestCodecReencodeIdentity(t *testing.T) {
 	}
 }
 
+// TestCodecDecodesLookaheadEpoch: snapshots written while epoch
+// generation ran one epoch ahead of execution can carry that epoch in
+// BatchNext beside a partly consumed BatchCur. Such a snapshot must
+// decode and continue byte-identically to an uninterrupted run, and a
+// BatchNext that does not continue BatchCur must still be rejected.
+func TestCodecDecodesLookaheadEpoch(t *testing.T) {
+	cfg := testConfig(t, KindSeesaw)
+	cfg.ICache = true
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportText(t, cold)
+
+	m := warmMaster(t, cfg)
+	total := cfg.WarmupRefs + cfg.Refs
+	if err := m.stepBatch(100, cfg.WarmupRefs, total); err != nil {
+		t.Fatal(err)
+	}
+	// Draw the following epoch as the lookahead did: the generator moves
+	// past it before any of it executes.
+	var next epochBuf
+	nstart := m.batch.cur.start + len(m.batch.cur.recs)
+	m.pregen(&next, nstart, m.epochLen(nstart, cfg.WarmupRefs, total), true)
+	withNext := func(st *snapshotState) { st.BatchNext = epochStateOf(next) }
+
+	st, err := m.captureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	withNext(st)
+	if len(st.BatchCur.Recs) == 0 || len(st.BatchNext.Recs) == 0 {
+		t.Fatalf("want both epochs pending, have %d current and %d lookahead records",
+			len(st.BatchCur.Recs), len(st.BatchNext.Recs))
+	}
+	data, err := encodeState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := UnmarshalMachine(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reportText(t, dec); !bytes.Equal(want, got) {
+		t.Errorf("decoded lookahead snapshot differs from the uninterrupted run:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+
+	rejectsState(t, &Snapshot{m: m}, func(st *snapshotState) {
+		withNext(st)
+		st.BatchNext.Start++
+	})
+}
+
 // FuzzSnapshotCodec throws arbitrary and systematically damaged bytes
 // at the decoder: it must never panic, must return one of the typed
 // errors on anything it rejects, and anything it accepts must actually

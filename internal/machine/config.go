@@ -101,7 +101,6 @@ type DesignInfo struct {
 	Display    string
 	UsesTFT    bool
 	Speculates bool
-	FastPath   bool
 	// Chaos knob overrides the chaos sweep applies to this design's
 	// cells (0/false = none).
 	ChaosSerialTLB int
@@ -120,7 +119,6 @@ func DesignInfos() []DesignInfo {
 			Display:        d.Display,
 			UsesTFT:        d.UsesTFT,
 			Speculates:     d.Speculates,
-			FastPath:       d.FastPath,
 			ChaosSerialTLB: d.ChaosSerialTLB,
 			ChaosSmallTLB:  d.ChaosSmallTLB,
 			ChaosL1Ways:    d.ChaosL1Ways,

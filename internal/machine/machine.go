@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"seesaw/internal/addr"
 	"seesaw/internal/cache"
@@ -84,20 +83,8 @@ type Machine struct {
 	// own) instead of concatenating a fresh slice per call.
 	cohAll []core.L1Cache
 
-	// Devirtualized fast paths. fastD/fastI dispatch L1 accesses through
-	// the concrete cache type, slowL1Cycles precomputes the per-core
-	// constant SlowCycles(), and oooCPUs/inoCPUs devirtualize Retire and
-	// Stall. All are derived views over l1s/l1is/cpus — wireFast rebuilds
-	// them after Build and clone; the interfaces remain the coherence and
-	// snapshot surfaces.
-	fastD        fastL1s
-	fastI        fastL1s
-	slowL1Cycles []int
-	oooCPUs      []*cpu.OutOfOrder
-	inoCPUs      []*cpu.InOrder
-
-	// batch holds the scratch buffers of the epoch-batched reference
-	// loop (never cloned; rebuilt lazily on first use).
+	// batch holds the epoch-batched reference loop's record buffer,
+	// allocated on first use; clones copy only its unconsumed records.
 	batch batchState
 
 	// schedule interleaves application threads with the system thread;
@@ -361,7 +348,6 @@ func (m *Machine) buildUarch() error {
 		m.cpus[i] = cm
 	}
 	m.wireSuperFills()
-	m.wireFast()
 
 	cohCfg := coherence.DefaultConfig(cfg.FreqGHz)
 	cohCfg.Mode = cfg.CoherenceMode
@@ -463,131 +449,6 @@ func (m *Machine) cohL1s() []core.L1Cache {
 	return m.cohAll
 }
 
-// fastL1s is a devirtualized view over one bank of L1 caches: for the
-// three known cache kinds the concrete slice is populated and every
-// per-access call dispatches statically; `any` is the interface
-// fallback so an unknown kind still works.
-type fastL1s struct {
-	sees []*core.Seesaw
-	base []*core.BaselineVIPT
-	pipt []*core.PIPT
-	any  []core.L1Cache
-}
-
-func newFastL1s(l1s []core.L1Cache) fastL1s {
-	f := fastL1s{any: l1s}
-	if len(l1s) == 0 {
-		return f
-	}
-	switch l1s[0].(type) {
-	case *core.Seesaw:
-		f.sees = make([]*core.Seesaw, len(l1s))
-		for i, l := range l1s {
-			f.sees[i] = l.(*core.Seesaw)
-		}
-	case *core.BaselineVIPT:
-		f.base = make([]*core.BaselineVIPT, len(l1s))
-		for i, l := range l1s {
-			f.base[i] = l.(*core.BaselineVIPT)
-		}
-	case *core.PIPT:
-		f.pipt = make([]*core.PIPT, len(l1s))
-		for i, l := range l1s {
-			f.pipt[i] = l.(*core.PIPT)
-		}
-	}
-	return f
-}
-
-func (f *fastL1s) access(res *core.AccessResult, i int, va addr.VAddr, pa addr.PAddr, size addr.PageSize, store bool) {
-	switch {
-	case f.sees != nil:
-		f.sees[i].AccessInto(res, va, pa, size, store)
-	case f.base != nil:
-		*res = f.base[i].Access(va, pa, size, store)
-	case f.pipt != nil:
-		*res = f.pipt[i].Access(va, pa, size, store)
-	default:
-		*res = f.any[i].Access(va, pa, size, store)
-	}
-}
-
-func (f *fastL1s) fill(i int, pa addr.PAddr, size addr.PageSize, store, shared bool) core.FillResult {
-	switch {
-	case f.sees != nil:
-		return f.sees[i].Fill(pa, size, store, shared)
-	case f.base != nil:
-		return f.base[i].Fill(pa, size, store, shared)
-	case f.pipt != nil:
-		return f.pipt[i].Fill(pa, size, store, shared)
-	}
-	return f.any[i].Fill(pa, size, store, shared)
-}
-
-func (f *fastL1s) upgrade(i int, pa addr.PAddr) {
-	switch {
-	case f.sees != nil:
-		f.sees[i].UpgradeToModified(pa)
-	case f.base != nil:
-		f.base[i].UpgradeToModified(pa)
-	case f.pipt != nil:
-		f.pipt[i].UpgradeToModified(pa)
-	default:
-		f.any[i].UpgradeToModified(pa)
-	}
-}
-
-// wireFast rebuilds the devirtualized dispatch tables from the
-// interface-typed slices; buildUarch and clone call it after the L1s
-// and CPU models exist.
-func (m *Machine) wireFast() {
-	m.fastD = newFastL1s(m.l1s)
-	m.fastI = newFastL1s(m.l1is)
-	m.slowL1Cycles = make([]int, len(m.l1s))
-	for i, l1 := range m.l1s {
-		m.slowL1Cycles[i] = l1.SlowCycles()
-	}
-	m.oooCPUs, m.inoCPUs = nil, nil
-	if len(m.cpus) > 0 {
-		switch m.cpus[0].(type) {
-		case *cpu.OutOfOrder:
-			m.oooCPUs = make([]*cpu.OutOfOrder, len(m.cpus))
-			for i, c := range m.cpus {
-				m.oooCPUs[i] = c.(*cpu.OutOfOrder)
-			}
-		case *cpu.InOrder:
-			m.inoCPUs = make([]*cpu.InOrder, len(m.cpus))
-			for i, c := range m.cpus {
-				m.inoCPUs[i] = c.(*cpu.InOrder)
-			}
-		}
-	}
-}
-
-// retire devirtualizes cpu.Model.Retire for the two known core models.
-func (m *Machine) retire(tid, gap int, mem cpu.MemCost) {
-	switch {
-	case m.oooCPUs != nil:
-		m.oooCPUs[tid].Retire(gap, mem)
-	case m.inoCPUs != nil:
-		m.inoCPUs[tid].Retire(gap, mem)
-	default:
-		m.cpus[tid].Retire(gap, mem)
-	}
-}
-
-// stall devirtualizes cpu.Model.Stall.
-func (m *Machine) stall(tid, cycles int) {
-	switch {
-	case m.oooCPUs != nil:
-		m.oooCPUs[tid].Stall(cycles)
-	case m.inoCPUs != nil:
-		m.inoCPUs[tid].Stall(cycles)
-	default:
-		m.cpus[tid].Stall(cycles)
-	}
-}
-
 // wireSuperFills connects each hierarchy's superpage-TLB-fill event to
 // the core's TFTs (Fig 5 steps 6-8). Called by buildUarch and again by
 // clone, which must re-close over the cloned seesaws.
@@ -639,7 +500,7 @@ func (m *Machine) onInvlpg(asid uint16, vaBase addr.VAddr) {
 				m.iseesaws[i].InvalidatePage(vaBase)
 			}
 		}
-		m.stall(i, 175) // invlpg cost, mid paper range
+		m.cpus[i].Stall(175) // invlpg cost, mid paper range
 	}
 	if m.Hooks.Checker != nil {
 		m.Hooks.Checker.AfterInvlpg(m.curRef, asid, vaBase)
@@ -709,8 +570,8 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 		m.superRefs++
 	}
 	store := rec.Kind != 0
-	var ar core.AccessResult
-	m.fastD.access(&ar, tid, rec.VA, tr.PA, tr.Size, store)
+	l1 := m.l1s[tid]
+	ar := l1.Access(rec.VA, tr.PA, tr.Size, store)
 	m.acct.AddL1CPUSide(ar.EnergyNJ)
 	m.sampleAccess(tid, rec.VA, ar)
 	// Audit before the miss is filled: the full-probe ground truth
@@ -733,7 +594,7 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 	extra := tr.ExtraCycles
 	if !ar.Hit {
 		mr := m.cohSys.Miss(tid, tr.PA, store)
-		fill := m.fastD.fill(tid, tr.PA, tr.Size, store, mr.Shared)
+		fill := l1.Fill(tr.PA, tr.Size, store, mr.Shared)
 		m.acct.AddL1CPUSide(fill.EnergyNJ)
 		if fill.Victim.Valid {
 			m.cohSys.Evicted(tid, fill.VictimPA, fill.Writeback)
@@ -743,9 +604,9 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 		if m.cfg.Prefetch {
 			nextPA := tr.PA.LineBase() + addr.LineSize
 			if nextPA.PageBase(addr.Page4K) == tr.PA.PageBase(addr.Page4K) {
-				if _, _, resident := m.l1s[tid].Storage().FindLine(nextPA); !resident {
+				if _, _, resident := l1.Storage().FindLine(nextPA); !resident {
 					pmr := m.cohSys.Miss(tid, nextPA, false)
-					pfill := m.fastD.fill(tid, nextPA, tr.Size, false, pmr.Shared)
+					pfill := l1.Fill(nextPA, tr.Size, false, pmr.Shared)
 					m.acct.AddL1CPUSide(pfill.EnergyNJ)
 					if pfill.Victim.Valid {
 						m.cohSys.Evicted(tid, pfill.VictimPA, pfill.Writeback)
@@ -758,7 +619,7 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 		case cache.Shared, cache.Owned: // need coherence permission
 			extra += m.cohSys.Upgrade(tid, tr.PA)
 		default:
-			m.fastD.upgrade(tid, tr.PA)
+			l1.UpgradeToModified(tr.PA)
 		}
 	}
 	assumedFast := false
@@ -782,12 +643,12 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 			}
 		}
 	}
-	m.retire(tid, int(rec.Gap), cpu.MemCost{
+	m.cpus[tid].Retire(int(rec.Gap), cpu.MemCost{
 		Hit:          ar.Hit,
 		IsStore:      store,
 		Dep:          rec.Dep,
 		L1Cycles:     ar.Cycles,
-		SlowL1Cycles: m.slowL1Cycles[tid],
+		SlowL1Cycles: l1.SlowCycles(),
 		AssumedFast:  assumedFast,
 		ExtraCycles:  extra,
 	})
@@ -900,7 +761,6 @@ func (m *Machine) applyFault(ev faults.Event) error {
 // advances the reference cursor. Warmup and Measure run epoch batches
 // over the same per-step bodies with context polling.
 func (m *Machine) Step() error {
-	m.settle()
 	if !m.batch.cur.empty() {
 		// A batched run left pre-generated records behind (the generator
 		// has already advanced past them); consume them in order.
@@ -968,8 +828,7 @@ func (m *Machine) stepWarmup(i int, rec trace.Record) error {
 // the data access, the instruction fetch, periodic OS activity, and
 // fault injection. rec (and iva/jumped when the I-cache is modeled) are
 // reference i's pre-drawn records; generation never depends on
-// execution state, so drawing them early — or in parallel per thread —
-// is observationally identical.
+// execution state, so drawing them early is observationally identical.
 func (m *Machine) stepMeasured(i int, rec trace.Record, iva addr.VAddr, jumped bool) error {
 	m.curRef = uint64(i)
 	tid := int(rec.TID)
@@ -986,8 +845,8 @@ func (m *Machine) stepMeasured(i int, rec trace.Record, iva addr.VAddr, jumped b
 		if itr.Source != tlb.SourceL1 {
 			m.l2Lookups++
 		}
-		var iar core.AccessResult
-		m.fastI.access(&iar, tid, iva, itr.PA, itr.Size, false)
+		il1 := m.l1is[tid]
+		iar := il1.Access(iva, itr.PA, itr.Size, false)
 		m.acct.AddL1CPUSide(iar.EnergyNJ)
 		m.sampleAccess(m.nCores+tid, iva, iar)
 		if m.Hooks.Checker != nil {
@@ -1000,7 +859,7 @@ func (m *Machine) stepMeasured(i int, rec trace.Record, iva addr.VAddr, jumped b
 		}
 		if !iar.Hit {
 			imr := m.cohSys.Miss(m.nCores+tid, itr.PA, false)
-			ifill := m.fastI.fill(tid, itr.PA, itr.Size, false, imr.Shared)
+			ifill := il1.Fill(itr.PA, itr.Size, false, imr.Shared)
 			m.acct.AddL1CPUSide(ifill.EnergyNJ)
 			if ifill.Victim.Valid {
 				m.cohSys.Evicted(m.nCores+tid, ifill.VictimPA, ifill.Writeback)
@@ -1011,12 +870,12 @@ func (m *Machine) stepMeasured(i int, rec trace.Record, iva addr.VAddr, jumped b
 			if m.cfg.CPUKind == "ooo" {
 				stall = (stall + 1) / 2
 			}
-			m.stall(tid, stall)
+			m.cpus[tid].Stall(stall)
 		} else if jumped {
 			// Fetch-redirect bubble: a taken branch waits one L1I
 			// hit latency for the new fetch group — where SEESAW-I's
 			// fast path pays off.
-			m.stall(tid, iar.Cycles+itr.ExtraCycles)
+			m.cpus[tid].Stall(iar.Cycles + itr.ExtraCycles)
 		}
 	}
 	// OS background activity.
@@ -1084,49 +943,16 @@ func (e *epochBuf) clone() epochBuf {
 	}
 }
 
-// batchState is the double-buffered epoch pipeline: cur holds the
-// records currently being executed, next is (optionally) being filled
-// by generator goroutines while execution proceeds — generation never
-// reads execution state, so the lookahead is free parallelism. The
-// buffers are reused across epochs; clone copies any unconsumed
-// records (the generator has already advanced past them).
+// batchState holds the buffer of the epoch being executed. It is reused
+// across epochs; clone copies any unconsumed records (the generator has
+// already advanced past them).
 type batchState struct {
-	cur      epochBuf
-	next     epochBuf
-	inflight bool // generator goroutines are filling next
-	wg       sync.WaitGroup
+	cur epochBuf
 }
 
-// settle waits for any in-flight lookahead generation and, when the
-// current buffer is drained, adopts the lookahead epoch as current.
-// Callers that clone the generator or read batch state must settle
-// first. Both buffers may legitimately hold records — a batch that
-// stopped mid-epoch leaves cur partially consumed with next already
-// generated — but then next must be the epoch immediately after cur.
-func (m *Machine) settle() {
-	b := &m.batch
-	if b.inflight {
-		b.wg.Wait()
-		b.inflight = false
-	}
-	if b.next.empty() {
-		return
-	}
-	if b.cur.empty() {
-		b.cur, b.next = b.next, b.cur
-	} else if b.next.start != b.cur.start+len(b.cur.recs) {
-		panic("machine: epoch pipeline out of order")
-	}
-}
-
-// pregen fills buf with references [start, start+n), one goroutine per
-// workload thread. Generator state is fully per-thread (each tid owns
-// its RNG, cursors, and last-VA), and each position of the epoch
-// belongs to exactly one tid, so the workers touch disjoint state and
-// disjoint buffer slots — the result is byte-identical to serial
-// generation in schedule order, at any GOMAXPROCS. With background set
-// the call returns immediately and settle() joins the workers.
-func (m *Machine) pregen(buf *epochBuf, start, n int, icache, background bool) {
+// pregen fills buf with references [start, start+n), drawn in schedule
+// order on the calling goroutine.
+func (m *Machine) pregen(buf *epochBuf, start, n int, icache bool) {
 	if cap(buf.recs) < n {
 		buf.recs = make([]trace.Record, n)
 		buf.ivas = make([]addr.VAddr, n)
@@ -1134,31 +960,12 @@ func (m *Machine) pregen(buf *epochBuf, start, n int, icache, background bool) {
 	}
 	buf.recs, buf.ivas, buf.jumps = buf.recs[:n], buf.ivas[:n], buf.jumps[:n]
 	buf.start, buf.off, buf.icache = start, 0, icache
-	nt := m.gen.Threads() + 1 // app threads + the system thread
-	for t := 0; t < nt; t++ {
-		m.batch.wg.Add(1)
-		go m.genWorker(buf, t, start, icache)
-	}
-	if background {
-		m.batch.inflight = true
-		return
-	}
-	m.batch.wg.Wait()
-}
-
-// genWorker pre-generates, in program order, every reference of thread
-// tid inside buf's epoch.
-func (m *Machine) genWorker(buf *epochBuf, tid, g0 int, icache bool) {
-	defer m.batch.wg.Done()
 	s := m.schedule
-	pos := g0 % len(s)
+	pos := start % len(s)
 	for j := range buf.recs {
-		st := s[pos]
+		tid := s[pos]
 		if pos++; pos == len(s) {
 			pos = 0
-		}
-		if st != tid {
-			continue
 		}
 		rec := m.gen.Next(tid)
 		buf.recs[j] = rec
@@ -1183,14 +990,12 @@ func (m *Machine) epochLen(g, base, end int) int {
 	return n
 }
 
-// stepBatch advances the machine n references as one epoch: the
-// per-thread slices of the epoch are generated in parallel behind a
-// barrier (usually one epoch ahead, overlapped with execution of the
-// previous epoch), then executed serially in schedule order —
-// coherence couples the cores (LLC recency, directory state, snoops,
-// back-invalidations land on every miss), so execution order is the
-// serialization point that keeps reports byte-identical. end bounds
-// the phase for lookahead generation.
+// stepBatch advances the machine n references as one epoch: the epoch's
+// records are generated up front, then executed serially in schedule
+// order — coherence couples the cores (LLC recency, directory state,
+// snoops, back-invalidations land on every miss), so execution order is
+// the serialization point that keeps reports byte-identical. [base, end)
+// is the phase, which bounds the epoch length.
 func (m *Machine) stepBatch(n, base, end int) error {
 	// Never span the warmup boundary: the phases generate differently.
 	if w := m.cfg.WarmupRefs; m.globalRef < w && m.globalRef+n > w {
@@ -1210,23 +1015,14 @@ func (m *Machine) stepBatch(n, base, end int) error {
 	b := &m.batch
 	for n > 0 {
 		if b.cur.empty() {
-			m.settle()
-			if b.cur.empty() {
-				ic := measured && m.cfg.ICache
-				m.pregen(&b.cur, m.globalRef, m.epochLen(m.globalRef, base, end), ic, false)
-			}
+			ic := measured && m.cfg.ICache
+			m.pregen(&b.cur, m.globalRef, m.epochLen(m.globalRef, base, end), ic)
 		}
 		if b.cur.start+b.cur.off != m.globalRef {
 			// Pending records no longer line up with the cursor: the
 			// generator advanced past references that were never
 			// executed, which no supported call sequence produces.
 			panic("machine: pre-generated records out of sync with reference cursor")
-		}
-		// Kick the next epoch's generation before executing this one
-		// (not worth a goroutine handoff for single-Step calls).
-		if nstart := b.cur.start + len(b.cur.recs); n > 1 && nstart < end && !b.inflight && b.next.empty() {
-			ic := nstart >= m.cfg.WarmupRefs && m.cfg.ICache && m.cfg.Trace == nil
-			m.pregen(&b.next, nstart, m.epochLen(nstart, base, end), ic, true)
 		}
 		k := len(b.cur.recs) - b.cur.off
 		if k > n {

@@ -78,11 +78,8 @@ func (c Config) WarmupSignature() WarmupSignature {
 // the workload generators. After it returns, dst.proc is the clone's
 // main process and dst's manager hooks are still unwired.
 func (m *Machine) cloneOS(dst *Machine) {
-	// Join any in-flight lookahead generation (the workers mutate m.gen)
-	// and carry unconsumed pre-generated records over to the clone.
-	m.settle()
+	// Unconsumed pre-generated records travel with the clone.
 	dst.batch.cur = m.batch.cur.clone()
-	dst.batch.next = m.batch.next.clone()
 	dst.rngSrc = m.rngSrc.Clone()
 	dst.rng = rand.New(dst.rngSrc)
 	dst.buddy = m.buddy.Clone()
@@ -166,7 +163,6 @@ func (m *Machine) clone() *Machine {
 	for _, cm := range m.cpus {
 		c.cpus = append(c.cpus, cm.Clone())
 	}
-	c.wireFast()
 	acct := *m.acct
 	c.acct = &acct
 

@@ -56,47 +56,69 @@ func TestSourceStateRandWiring(t *testing.T) {
 	}
 }
 
-// TestSourceStateWithoutMirror: a source whose state mirror is absent
-// (the defensive path — real constructors always attach one when the
-// mirror check passes) is still repositioned correctly.
+// TestSourceStateWithoutMirror: at every stop, SetState moves a source
+// parked at an unrelated seed and position onto the stop, where it
+// continues with the stock stream and reports the captured state. No
+// source carries a copy of math/rand's internal state any more; the
+// restore rebuilds the generator from the seed alone.
 func TestSourceStateWithoutMirror(t *testing.T) {
-	orig := NewSource(5)
-	rand.New(orig).Intn(1000)
-
-	bare := &Source{seed: 1, src: rand.NewSource(1).(rand.Source64)}
-	if err := bare.SetState(orig.State()); err != nil {
-		t.Fatal(err)
-	}
-	want := orig.Clone()
-	for i := 0; i < 32; i++ {
-		if a, b := want.Uint64(), bare.Uint64(); a != b {
-			t.Fatalf("mirror-less restore diverged at draw %d", i)
+	for _, seed := range streamSeeds {
+		want := stdStream(seed, streamCounts[len(streamCounts)-1]+streamTail)
+		src := NewSource(seed)
+		at := 0
+		for _, stop := range streamCounts {
+			for ; at < stop; at++ {
+				src.Uint64()
+			}
+			st := src.State()
+			if st != (SourceState{Seed: seed, Draws: uint64(stop)}) {
+				t.Fatalf("seed %d at %d: State() = %+v", seed, stop, st)
+			}
+			twin := NewSource(seed + 1)
+			twin.Uint64()
+			if err := twin.SetState(st); err != nil {
+				t.Fatal(err)
+			}
+			if twin.State() != st {
+				t.Fatalf("seed %d at %d: restored State() = %+v, want %+v", seed, stop, twin.State(), st)
+			}
+			for k := 0; k < streamTail; k++ {
+				if g, w := twin.Uint64(), want[stop+k]; g != w {
+					t.Fatalf("seed %d at %d: restored draw %d = %#x, want %#x", seed, stop, k, g, w)
+				}
+			}
 		}
 	}
 }
 
-// TestSourceStateMirrorDisabled: on a toolchain where the state mirror
-// fails its self-check, SetState falls back to reseed-and-replay and
-// must still land on the exact generator position.
+// TestSourceStateMirrorDisabled: SetState reseeds and replays, so it
+// also rewinds — a source already past a stop lands back on it — and
+// Seed restarts the stream from its first draw.
 func TestSourceStateMirrorDisabled(t *testing.T) {
-	defer func(ok bool) { mirrorOK = ok }(mirrorOK)
-	mirrorOK = false
-
-	orig := NewSource(5)
-	rand.New(orig).Intn(1000)
-	st := orig.State()
-
-	resumed := NewSource(1)
-	if err := resumed.SetState(st); err != nil {
-		t.Fatal(err)
-	}
-	want := NewSource(5)
-	for i := uint64(0); i < st.Draws; i++ {
-		want.Uint64()
-	}
-	for i := 0; i < 32; i++ {
-		if a, b := want.Uint64(), resumed.Uint64(); a != b {
-			t.Fatalf("replay-restored stream diverged at draw %d", i)
+	for _, seed := range streamSeeds {
+		want := stdStream(seed, streamCounts[len(streamCounts)-1]+streamTail)
+		src := NewSource(seed)
+		for range want {
+			src.Uint64()
+		}
+		for _, stop := range streamCounts {
+			if err := src.SetState(SourceState{Seed: seed, Draws: uint64(stop)}); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < streamTail; k++ {
+				if g, w := src.Uint64(), want[stop+k]; g != w {
+					t.Fatalf("seed %d rewound to %d: draw %d = %#x, want %#x", seed, stop, k, g, w)
+				}
+			}
+		}
+		src.Seed(seed)
+		if src.Draws() != 0 {
+			t.Fatalf("seed %d: Draws after Seed = %d, want 0", seed, src.Draws())
+		}
+		for k := 0; k < streamTail; k++ {
+			if g := src.Uint64(); g != want[k] {
+				t.Fatalf("seed %d: draw %d after Seed = %#x, want %#x", seed, k, g, want[k])
+			}
 		}
 	}
 }

@@ -9,36 +9,38 @@ import (
 // every rand.Rand method used by the simulator produces exactly the
 // values the stock source would.
 func TestStreamMatchesStockSource(t *testing.T) {
-	want := rand.New(rand.NewSource(42))
-	got, _ := New(42)
-	for i := 0; i < 1000; i++ {
-		switch i % 5 {
-		case 0:
-			if w, g := want.Float64(), got.Float64(); w != g {
-				t.Fatalf("Float64 draw %d: got %v want %v", i, g, w)
-			}
-		case 1:
-			if w, g := want.Uint64(), got.Uint64(); w != g {
-				t.Fatalf("Uint64 draw %d: got %v want %v", i, g, w)
-			}
-		case 2:
-			if w, g := want.Intn(97), got.Intn(97); w != g {
-				t.Fatalf("Intn draw %d: got %v want %v", i, g, w)
-			}
-		case 3:
-			if w, g := want.Int63(), got.Int63(); w != g {
-				t.Fatalf("Int63 draw %d: got %v want %v", i, g, w)
-			}
-		case 4:
-			wp, gp := make([]int, 9), make([]int, 9)
-			for j := range wp {
-				wp[j], gp[j] = j, j
-			}
-			want.Shuffle(9, func(a, b int) { wp[a], wp[b] = wp[b], wp[a] })
-			got.Shuffle(9, func(a, b int) { gp[a], gp[b] = gp[b], gp[a] })
-			for j := range wp {
-				if wp[j] != gp[j] {
-					t.Fatalf("Shuffle draw %d diverged", i)
+	for _, seed := range append([]int64{42}, streamSeeds...) {
+		want := rand.New(rand.NewSource(seed))
+		got, _ := New(seed)
+		for i := 0; i < 1000; i++ {
+			switch i % 5 {
+			case 0:
+				if w, g := want.Float64(), got.Float64(); w != g {
+					t.Fatalf("seed %d Float64 draw %d: got %v want %v", seed, i, g, w)
+				}
+			case 1:
+				if w, g := want.Uint64(), got.Uint64(); w != g {
+					t.Fatalf("seed %d Uint64 draw %d: got %v want %v", seed, i, g, w)
+				}
+			case 2:
+				if w, g := want.Intn(97), got.Intn(97); w != g {
+					t.Fatalf("seed %d Intn draw %d: got %v want %v", seed, i, g, w)
+				}
+			case 3:
+				if w, g := want.Int63(), got.Int63(); w != g {
+					t.Fatalf("seed %d Int63 draw %d: got %v want %v", seed, i, g, w)
+				}
+			case 4:
+				wp, gp := make([]int, 9), make([]int, 9)
+				for j := range wp {
+					wp[j], gp[j] = j, j
+				}
+				want.Shuffle(9, func(a, b int) { wp[a], wp[b] = wp[b], wp[a] })
+				got.Shuffle(9, func(a, b int) { gp[a], gp[b] = gp[b], gp[a] })
+				for j := range wp {
+					if wp[j] != gp[j] {
+						t.Fatalf("seed %d Shuffle draw %d diverged", seed, i)
+					}
 				}
 			}
 		}

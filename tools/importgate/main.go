@@ -8,8 +8,12 @@
 // physmem, pagetable, cpu, faults, check, metrics, energy, ...) are the
 // coupling this gate exists to prevent: every one of them historically
 // grew from "just one constant" into another strand of wiring that a
-// refactor like the machine extraction had to untangle. `make
-// importgate` (part of `make verify`) runs it.
+// refactor like the machine extraction had to untangle.
+//
+// It also fails if any Go file under cmd/, internal/ or tools/ imports
+// unsafe: the simulator's state must stay plain Go values that clone,
+// snapshot and compare without layout assumptions. `make importgate`
+// (part of `make verify`) runs it.
 //
 // Usage:
 //
@@ -44,38 +48,18 @@ var allowed = map[string]bool{
 	"seesaw/internal/trace":       true,
 }
 
+// unsafeRoots are the trees in which no Go file may import unsafe.
+var unsafeRoots = []string{"cmd", "internal", "tools"}
+
 func main() {
 	dir := flag.String("dir", "cmd", "directory tree whose Go files are checked")
 	flag.Parse()
 
 	var violations []string
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(*dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	err := walkImports(*dir, func(pos token.Position, p string) {
+		if strings.HasPrefix(p, "seesaw/") && !allowed[p] {
+			violations = append(violations, fmt.Sprintf("%s:%d: imports %s", pos.Filename, pos.Line, p))
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			if !strings.HasPrefix(p, "seesaw/") {
-				continue // stdlib; the module has no external deps
-			}
-			if !allowed[p] {
-				pos := fset.Position(imp.Pos())
-				violations = append(violations,
-					fmt.Sprintf("%s:%d: imports %s", pos.Filename, pos.Line, p))
-			}
-		}
-		return nil
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "importgate:", err)
@@ -91,4 +75,51 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("importgate: %s/ imports are clean\n", *dir)
+
+	var unsafeUses []string
+	for _, root := range unsafeRoots {
+		err := walkImports(root, func(pos token.Position, p string) {
+			if p == "unsafe" {
+				unsafeUses = append(unsafeUses, fmt.Sprintf("%s:%d", pos.Filename, pos.Line))
+			}
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "importgate:", err)
+			os.Exit(1)
+		}
+	}
+	if len(unsafeUses) > 0 {
+		fmt.Fprintf(os.Stderr, "importgate: %d unsafe import(s):\n", len(unsafeUses))
+		for _, u := range unsafeUses {
+			fmt.Fprintln(os.Stderr, " ", u)
+		}
+		os.Exit(1)
+	}
+	fmt.Printf("importgate: no unsafe imports in %s/\n", strings.Join(unsafeRoots, "/, "))
+}
+
+// walkImports calls visit with the position and path of every import of
+// every Go file under dir.
+func walkImports(dir string, visit func(pos token.Position, path string)) error {
+	fset := token.NewFileSet()
+	return filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				return fmt.Errorf("%s: %w", path, err)
+			}
+			visit(fset.Position(imp.Pos()), p)
+		}
+		return nil
+	})
 }

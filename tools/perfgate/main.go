@@ -14,8 +14,8 @@
 // noise (a busy neighbor makes a run slower, never faster), so the max
 // is the most repeatable estimate of the machine's actual speed. The
 // default 20% threshold leaves room for the residual noise; a real
-// hot-path regression (an allocation per reference, a devirtualization
-// coming undone) costs well more than that.
+// hot-path regression (an allocation per reference, say) costs well
+// more than that.
 //
 // Usage:
 //
@@ -37,9 +37,8 @@ import (
 )
 
 // benchmarks lists the gated benchmarks. All report a refs/s metric:
-// the first two run SEESAW through its devirtualized fast path, the
-// registry benchmark runs VESPA through the interface fallback every
-// design without a fast-path hook uses.
+// the first two run SEESAW, the registry benchmark runs VESPA, the
+// zoo's registry-added design, through the same interface path.
 var benchmarks = []string{
 	"BenchmarkMachineStepBatched",
 	"BenchmarkMachineStepRegistry",
